@@ -44,14 +44,6 @@ let warn_arg =
         ~doc:"Print frontend lints (unused variables, dead stores) to \
               stderr before running.")
 
-let static_prune_arg =
-  Cmdliner.Arg.(
-    value & opt bool true
-    & info [ "static-prune" ] ~docv:"BOOL"
-        ~doc:"Skip shadow instrumentation on memory events the static \
-              dependence analysis proves unable to affect the profile \
-              (default on; the profile is byte-identical either way).")
-
 let legality_arg =
   Cmdliner.Arg.(
     value & opt bool true
@@ -104,50 +96,20 @@ let fuel_arg =
     & opt int 2_000_000_000
     & info [ "fuel" ] ~doc:"Instruction budget before trapping.")
 
-let regalloc_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "regalloc" ] ~docv:"BOOL"
-        ~doc:"Run the register engine's graph-coloring allocator (default \
-              on). Only meaningful with $(b,--engine=register); the profile \
-              is byte-identical either way.")
-
-let ring_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "ring" ] ~docv:"BOOL"
-        ~doc:"Deliver hook events through the register engine's batched \
-              event ring (default on). Only meaningful with \
-              $(b,--engine=register); the profile is byte-identical either \
-              way.")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("threaded", Vm.Machine.Threaded); ("switch", Vm.Machine.Switch);
-             ("register", Vm.Machine.Register);
-           ])
-        Vm.Machine.Threaded
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"VM execution engine: $(b,threaded) (closure-threaded with               superinstruction fusion, the default), $(b,switch) (the               reference interpreter), or $(b,register) (stack bytecode               compiled to an allocated register IR). All three produce               identical results and profiles.")
-
 (* --- run --------------------------------------------------------------- *)
 
 let run_cmd =
-  let run spec fuel fold warn engine =
+  let run spec fuel fold warn =
     handle_errors (fun () ->
         let prog = load_program ~fold ~warn spec in
-        let r = Ir.Engine.run ~engine ~fuel prog in
+        let r = Ir.Engine.run ~fuel prog in
         List.iter (fun v -> Printf.printf "%d\n" v) r.Vm.Machine.output;
         Printf.printf "exit=%d instructions=%d\n" r.Vm.Machine.exit_value
           r.Vm.Machine.instructions)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a Mini-C program on the VM.")
-    Term.(const run $ src_arg $ fuel_arg $ fold_arg $ warn_arg $ engine_arg)
+    Term.(const run $ src_arg $ fuel_arg $ fold_arg $ warn_arg)
 
 (* --- profile ------------------------------------------------------------ *)
 
@@ -189,12 +151,11 @@ let profile_cmd =
                 $(b,json).")
   in
   let profile spec fuel top edges kinds trace_locals save telemetry fold warn
-      static_prune legality race engine regalloc ring =
+      legality race =
     handle_errors (fun () ->
         let prog = load_program ~fold ~warn spec in
         let r =
-          Alchemist.Profiler.run ~engine ~regalloc ~ring ~fuel ~trace_locals
-            ~static_prune ~legality ~race prog
+          Alchemist.Profiler.run ~fuel ~trace_locals ~legality ~race prog
         in
         Option.iter
           (fun path -> Alchemist.Profile_io.save r.Alchemist.Profiler.profile path)
@@ -219,9 +180,8 @@ let profile_cmd =
           s.Alchemist.Profiler.deps_detected s.Alchemist.Profiler.pool_allocated
           s.Alchemist.Profiler.pool_reused;
         if s.Alchemist.Profiler.event_pcs > 0 then
-          Printf.printf "static analysis: %d of %d event pcs pruned%s\n"
-            s.Alchemist.Profiler.pruned_pcs s.Alchemist.Profiler.event_pcs
-            (if static_prune then "" else " (mask not applied)");
+          Printf.printf "static analysis: %d of %d event pcs pruned\n"
+            s.Alchemist.Profiler.pruned_pcs s.Alchemist.Profiler.event_pcs;
         match telemetry with
         | None -> ()
         | Some fmt ->
@@ -237,8 +197,7 @@ let profile_cmd =
        ~doc:"Profile dependence distances (Fig. 2/3-style report).")
     Term.(
       const profile $ src_arg $ fuel_arg $ top $ edges $ kinds $ trace_locals
-      $ save $ telemetry $ fold_arg $ warn_arg $ static_prune_arg
-      $ legality_arg $ race_arg $ engine_arg $ regalloc_arg $ ring_arg)
+      $ save $ telemetry $ fold_arg $ warn_arg $ legality_arg $ race_arg)
 
 (* --- rank ---------------------------------------------------------------- *)
 
@@ -470,7 +429,7 @@ let profile_all_cmd =
           ~doc:"Add a per-shard breakdown (wall time, events, walk depth) \
                 and the merged telemetry snapshot.")
   in
-  let profile_all fuel jobs test_scale save_dir telemetry static_prune engine =
+  let profile_all fuel jobs test_scale save_dir telemetry =
     handle_errors (fun () ->
         let jobs = max 1 jobs in
         let scale_of (w : Workloads.Workload.t) =
@@ -482,8 +441,7 @@ let profile_all_cmd =
         let sched = Driver.Scheduler.create ~workers:jobs () in
         let t0 = Unix.gettimeofday () in
         let results =
-          Driver.Parallel.profile_registry ~sched ~jobs ~engine ~fuel
-            ~static_prune ~scale_of ()
+          Driver.Parallel.profile_registry ~sched ~jobs ~fuel ~scale_of ()
         in
         let wall = Unix.gettimeofday () -. t0 in
         Driver.Scheduler.drain sched;
@@ -504,9 +462,8 @@ let profile_all_cmd =
                   (Filename.concat dir (w.name ^ ".prof")))
               save_dir)
           results;
-        Printf.printf "\n%d workloads in %.2fs on %d domain(s), %s engine\n"
-          (List.length results) wall jobs
-          (Vm.Machine.engine_to_string engine);
+        Printf.printf "\n%d workloads in %.2fs on %d domain(s)\n"
+          (List.length results) wall jobs;
         if telemetry then begin
           (* Per-shard: each run's registry carries its own driver.shard_wall
              timer, so the breakdown shows where the domains spent time. *)
@@ -543,8 +500,7 @@ let profile_all_cmd =
     (Cmd.info "profile-all"
        ~doc:"Profile every bundled workload, sharded across CPU cores.")
     Term.(
-      const profile_all $ fuel_arg $ jobs $ test_scale $ save_dir $ telemetry
-      $ static_prune_arg $ engine_arg)
+      const profile_all $ fuel_arg $ jobs $ test_scale $ save_dir $ telemetry)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -684,15 +640,12 @@ let serve_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Each request line is $(b,SPEC [fuel=N] \
-              [engine=switch|threaded|register] [ring=B] [regalloc=B] \
-              [trace_locals=B] [prune=B] [pool_capacity=N] [scan_limit=N] \
-              [save=PATH]) where SPEC is workload:NAME[:SCALE] or a Mini-C \
-              file. A request whose profile-determining inputs (program \
-              code, global data, fuel, trace_locals, pool) match a cached \
-              run is answered from the cache without profiling — engine \
-              and instrumentation knobs are not part of the key because \
-              profiles are proven byte-identical across them. The bare \
+             "Each request line is $(b,SPEC [fuel=N] [trace_locals=B] \
+              [pool_capacity=N] [scan_limit=N] [save=PATH]) where SPEC is \
+              workload:NAME[:SCALE] or a Mini-C file. A request whose \
+              profile-determining inputs (program code, global data, fuel, \
+              trace_locals, pool) match a cached run is answered from the \
+              cache without profiling. The bare \
               word $(b,drain) waits for all outstanding jobs; EOF drains \
               and exits. Replies: $(b,ok SEQ SPEC key=K hit|disk-hit|miss \
               bytes=N [saved=PATH]) or $(b,error SEQ SPEC: message).";
@@ -1066,19 +1019,10 @@ let disasm_cmd =
              on the right, aligned by the instruction-clock segments each \
              IR instruction owns.")
   in
-  let no_regalloc_arg =
-    Arg.(
-      value & flag
-      & info [ "no-regalloc" ]
-          ~doc:
-            "With $(b,--ir): print identity-mapped virtual registers \
-             instead of the colored physical window slots.")
-  in
-  let disasm spec ir no_regalloc =
+  let disasm spec ir =
     handle_errors (fun () ->
         let prog = load_program spec in
-        if ir then
-          print_string (Ir.Disasm.to_string ~regalloc:(not no_regalloc) prog)
+        if ir then print_string (Ir.Disasm.to_string prog)
         else print_string (Vm.Disasm.to_string prog))
   in
   Cmd.v
@@ -1086,7 +1030,7 @@ let disasm_cmd =
        ~doc:
          "Disassemble the compiled bytecode, optionally side by side with \
           the allocated register IR.")
-    Term.(const disasm $ src_arg $ ir_arg $ no_regalloc_arg)
+    Term.(const disasm $ src_arg $ ir_arg)
 
 let workloads_cmd =
   let list () =

@@ -102,10 +102,9 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
   in
   let on_pop (c : Node.t) =
     incr pops;
+    let p = c.parent in
     let parent_cid =
-      match c.parent with
-      | Some p -> cid_of_label prog p.Node.label
-      | None -> -1
+      if p == Node.none then -1 else cid_of_label prog p.Node.label
     in
     Profile.leave profile
       ~cid:(cid_of_label prog c.label)
@@ -130,9 +129,9 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
       Profile.record_edge profile
         ~cid:(cid_of_label prog c.label)
         ~head_pc ~tail_pc ~kind ~tdep ~addr;
-      match c.parent with
-      | Some p -> walk ~kind ~head_pc ~tail_pc ~tdep ~addr ~head_time p (depth + 1)
-      | None -> Obs.Histogram.observe walk_depth (depth + 1)
+      let p = c.parent in
+      if p == Node.none then Obs.Histogram.observe walk_depth (depth + 1)
+      else walk ~kind ~head_pc ~tail_pc ~tdep ~addr ~head_time p (depth + 1)
     end
     else Obs.Histogram.observe walk_depth depth
   in
@@ -253,9 +252,9 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
   in
   (hooks, (instr_range, range_has_target, set_time), finish, dep)
 
-let run ?(engine = Vm.Machine.Threaded) ?regalloc ?ring ?fuel ?scan_limit
-    ?pool_capacity ?obs ?facts ?(trace_locals = false) ?(static_prune = true)
-    ?legality ?race (prog : Vm.Program.t) =
+let run ?(engine = Vm.Machine.Register) ?fuel ?scan_limit ?pool_capacity ?obs
+    ?facts ?(trace_locals = false) ?(static_prune = true) ?legality ?race
+    (prog : Vm.Program.t) =
   let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
   let hooks, (instr_range, range_has_target, set_time), finish, dep =
     make ?scan_limit ?pool_capacity ~obs:reg ?facts ~static:(not trace_locals)
@@ -268,7 +267,7 @@ let run ?(engine = Vm.Machine.Threaded) ?regalloc ?ring ?fuel ?scan_limit
      IR-widened one: register-IR def-use hints upgrade accesses the
      points-to layer left incomplete, proving more hooks redundant
      (Static.Depend.widen_prune). The widening is derived from the
-     deterministic no-prune lowering, so every engine receives the same
+     deterministic no-prune lowering, so both engines receive the same
      mask and the profile stays engine-independent; verdicts keep using
      the unwidened base mask. *)
   let prune =
@@ -287,21 +286,18 @@ let run ?(engine = Vm.Machine.Threaded) ?regalloc ?ring ?fuel ?scan_limit
   in
   let r =
     finish
-      (Ir.Engine.run_hooked ~engine ?regalloc ?ring ~instr_range
-         ~range_has_target ~set_time ~trace_locals ?prune ?fuel ~obs:reg hooks
-         prog)
+      (Ir.Engine.run_hooked ~engine ~instr_range ~range_has_target ~set_time
+         ~trace_locals ?prune ?fuel ~obs:reg hooks prog)
   in
   (* Record which engine produced the events, so benchmark telemetry is
-     self-describing (0 = switch, 1 = threaded, 2 = register). The
-     register engine additionally publishes ir.* gauges through [reg].
+     self-describing (0 = switch, 2 = register, the values earlier
+     telemetry used). The register engine additionally publishes ir.*
+     gauges through [reg].
      Differential telemetry comparisons filter these out — see
      test/test_engines.ml. *)
   Obs.Gauge.set
     (Obs.Registry.gauge r.obs "vm.engine")
-    (match engine with
-    | Vm.Machine.Switch -> 0
-    | Vm.Machine.Threaded -> 1
-    | Vm.Machine.Register -> 2);
+    (match engine with Vm.Machine.Switch -> 0 | Vm.Machine.Register -> 2);
   r
 
 let run_trace ?scan_limit ?pool_capacity ?obs (trace : Vm.Trace.t)
@@ -318,8 +314,7 @@ let run_trace ?scan_limit ?pool_capacity ?obs (trace : Vm.Trace.t)
   Vm.Trace.replay trace hooks;
   finish (Vm.Trace.result trace)
 
-let run_source ?engine ?ring ?fuel ?scan_limit ?pool_capacity ?obs
-    ?trace_locals ?static_prune ?legality ?race src =
-  run ?engine ?ring ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals
-    ?static_prune ?legality ?race
+let run_source ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals ?legality
+    ?race src =
+  run ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals ?legality ?race
     (Vm.Compile.compile_source src)

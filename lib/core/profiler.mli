@@ -60,8 +60,6 @@ val facts_fingerprint : facts -> string
 
 val run :
   ?engine:Vm.Machine.engine ->
-  ?regalloc:bool ->
-  ?ring:bool ->
   ?fuel:int ->
   ?scan_limit:int ->
   ?pool_capacity:int ->
@@ -75,22 +73,15 @@ val run :
   result
 (** Profiles one execution.
 
-    [engine] selects the VM execution engine (default
-    {!Vm.Machine.Threaded}); all engines feed the profiler the exact
-    same event stream, so the profile is engine-independent
-    (differentially tested). The engine used is recorded in telemetry as
-    the [vm.engine] gauge (0 = switch, 1 = threaded, 2 = register).
-    [regalloc] (default [true]) only affects the register engine: when
-    [false] the register IR runs on the identity vreg mapping instead of
-    the colored window — the ablation the bench measures; observable
-    results are unchanged either way.
-    [ring] (default [true]) likewise only affects the register engine:
-    when on, hook events are appended to a flat event ring drained in
-    bulk ({!Ir.Ring}), with segment clock advances batched through
-    {!Indexing.Rules.on_instr_range}; when [false] every event is
-    delivered directly at its instruction. The profile and all
-    non-[ir.*] telemetry are byte-identical either way (differentially
-    tested) — only the hook-delivery cost changes.
+    [engine] selects the VM execution engine: {!Vm.Machine.Register}
+    (the default, the production engine, whose hook events reach the
+    profiler through a drained event ring with segment clock advances
+    batched by {!Indexing.Rules.on_instr_range}) or
+    {!Vm.Machine.Switch} (the reference interpreter). Both feed the
+    profiler the same event stream, so the profile and all non-[ir.*]
+    telemetry are engine-independent (differentially tested). The
+    engine used is recorded in telemetry as the [vm.engine] gauge
+    (0 = switch, 2 = register).
     [facts] supplies precomputed static facts ({!prepare_facts}) so the
     run skips the CFA and dependence analyses — the profile is
     byte-identical with or without it; passing facts prepared for a
@@ -138,14 +129,11 @@ val run_trace :
     (differentially tested). *)
 
 val run_source :
-  ?engine:Vm.Machine.engine ->
-  ?ring:bool ->
   ?fuel:int ->
   ?scan_limit:int ->
   ?pool_capacity:int ->
   ?obs:Obs.Registry.t ->
   ?trace_locals:bool ->
-  ?static_prune:bool ->
   ?legality:bool ->
   ?race:bool ->
   string ->

@@ -6,12 +6,12 @@
    what the profiler observes — fuel (execution length), trace_locals
    (which memory events exist and whether the static layer runs), and
    the pool capacity / scan limit (node recycling changes the
-   time-window check, hence edge attribution). The execution engine,
-   event ring, register allocation and static pruning are deliberately
-   NOT in the key: the repo's differential tests and [alchemist check]
-   enforce that they never change profile bytes, so runs that differ
-   only in those knobs share a cache line — that is the point of
-   content addressing over an engine-tagged key.
+   time-window check, hence edge attribution). The execution engine
+   and static pruning are deliberately NOT in the key: the repo's
+   differential tests and [alchemist check] enforce that they never
+   change profile bytes, so runs that differ only in those share a
+   cache line — that is the point of content addressing over an
+   engine-tagged key.
 
    Not thread-safe: the cache belongs to the service's control thread,
    which looks up before submitting a job and inserts when it harvests

@@ -5,13 +5,13 @@
     fingerprint ({!Alchemist.Profile_io.input_fingerprint}: the
     initialized global data), and the profile-determining options —
     fuel, [trace_locals], pool capacity and scan limit. The execution
-    engine, event ring, register allocation and static pruning are
-    deliberately excluded: the repo's differential tests enforce that
-    they never change profile bytes, so runs differing only in those
-    knobs hit the same cache line. Re-profiling a program family after
-    an input change is automatically incremental: the new key misses,
-    but the static facts (keyed by code fingerprint alone — see
-    {!Alchemist.Profiler.prepare_facts}) are reused by the service.
+    engine and static pruning are deliberately excluded: the repo's
+    differential tests enforce that they never change profile bytes, so
+    runs differing only in those hit the same cache line. Re-profiling a
+    program family after an input change is automatically incremental:
+    the new key misses, but the static facts (keyed by code fingerprint
+    alone — see {!Alchemist.Profiler.prepare_facts}) are reused by the
+    service.
 
     An in-memory LRU (entry-count bounded) optionally backed by an
     on-disk store ([dir], conventionally [_cache/]) holding one

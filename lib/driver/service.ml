@@ -81,8 +81,7 @@ let facts_for t prog code_fp =
 
 (* --- submission ----------------------------------------------------------- *)
 
-let submit t ?fuel ?(engine = Vm.Machine.Threaded) ?ring ?regalloc
-    ?(trace_locals = false) ?static_prune ?pool_capacity ?scan_limit ?save
+let submit t ?fuel ?(trace_locals = false) ?pool_capacity ?scan_limit ?save
     ~spec prog =
   t.seq <- t.seq + 1;
   let seq = t.seq in
@@ -105,8 +104,8 @@ let submit t ?fuel ?(engine = Vm.Machine.Threaded) ?ring ?regalloc
       let promise =
         Scheduler.submit t.sched (fun () ->
             let r =
-              Alchemist.Profiler.run ~engine ?ring ?regalloc ?fuel ?facts
-                ~trace_locals ?static_prune ?pool_capacity ?scan_limit prog
+              Alchemist.Profiler.run ?fuel ?facts ~trace_locals
+                ?pool_capacity ?scan_limit prog
             in
             Alchemist.Profile_io.to_string r.Alchemist.Profiler.profile)
       in
@@ -115,8 +114,7 @@ let submit t ?fuel ?(engine = Vm.Machine.Threaded) ?ring ?regalloc
 (* --- request lines -------------------------------------------------------- *)
 
 (* Grammar (one request per line):
-     <spec> [fuel=N] [engine=switch|threaded|register] [ring=B] [regalloc=B]
-            [trace_locals=B] [prune=B] [pool_capacity=N] [scan_limit=N]
+     <spec> [fuel=N] [trace_locals=B] [pool_capacity=N] [scan_limit=N]
             [save=PATH]
    where <spec> is workload:NAME[:SCALE] or a Mini-C file path, and B is
    0/1/true/false. Blank lines and #-comments are skipped; the bare word
@@ -163,11 +161,7 @@ let feed t line =
     in
     match
       let fuel = ref None
-      and engine = ref Vm.Machine.Threaded
-      and ring = ref None
-      and regalloc = ref None
       and trace_locals = ref false
-      and static_prune = ref None
       and pool_capacity = ref None
       and scan_limit = ref None
       and save = ref None in
@@ -180,31 +174,18 @@ let feed t line =
               and v = String.sub opt (i + 1) (String.length opt - i - 1) in
               match k with
               | "fuel" -> fuel := Some (parse_int k v)
-              | "engine" -> (
-                  match v with
-                  | "switch" -> engine := Vm.Machine.Switch
-                  | "threaded" -> engine := Vm.Machine.Threaded
-                  | "register" -> engine := Vm.Machine.Register
-                  | _ ->
-                      raise
-                        (Bad_request (Printf.sprintf "engine: unknown %S" v)))
-              | "ring" -> ring := Some (parse_bool k v)
-              | "regalloc" -> regalloc := Some (parse_bool k v)
               | "trace_locals" -> trace_locals := parse_bool k v
-              | "prune" -> static_prune := Some (parse_bool k v)
               | "pool_capacity" -> pool_capacity := Some (parse_int k v)
               | "scan_limit" -> scan_limit := Some (parse_int k v)
               | "save" -> save := Some v
               | _ -> raise (Bad_request (Printf.sprintf "unknown option %S" k))))
         opts;
       let prog = compile_spec spec in
-      (prog, !fuel, !engine, !ring, !regalloc, !trace_locals, !static_prune,
-       !pool_capacity, !scan_limit, !save)
+      (prog, !fuel, !trace_locals, !pool_capacity, !scan_limit, !save)
     with
-    | prog, fuel, engine, ring, regalloc, trace_locals, static_prune,
-      pool_capacity, scan_limit, save ->
-        submit t ?fuel ~engine ?ring ?regalloc ~trace_locals ?static_prune
-          ?pool_capacity ?scan_limit ?save ~spec prog;
+    | prog, fuel, trace_locals, pool_capacity, scan_limit, save ->
+        submit t ?fuel ~trace_locals ?pool_capacity ?scan_limit ?save ~spec
+          prog;
         `Queued
     | exception e ->
         let msg =

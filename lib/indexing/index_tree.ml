@@ -37,7 +37,7 @@ let push t ~label ~is_func =
   c.Node.label <- label;
   c.Node.tenter <- t.time;
   c.Node.texit <- 0;
-  c.Node.parent <- top t;
+  c.Node.parent <- (if t.sp = 0 then Node.none else t.stack.(t.sp - 1));
   c.Node.is_func <- is_func;
   if t.sp = Array.length t.stack then begin
     let stack = Array.make (2 * t.sp) c in

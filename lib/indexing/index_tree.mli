@@ -53,7 +53,7 @@ val peek : t -> Node.t
 
 val push : t -> label:int -> is_func:bool -> Node.t
 (** Table I [IDS.push]: acquire a node, stamp [tenter = now], link to the
-    current top as parent, push. *)
+    current top as parent ({!Node.none} on an empty stack), push. *)
 
 val pop : t -> Node.t
 (** Table I [IDS.pop]: stamp [texit = now], release to the pool, fire

@@ -2,11 +2,17 @@ type t = {
   mutable label : int;
   mutable tenter : int;
   mutable texit : int;
-  mutable parent : t option;
+  mutable parent : t;
   mutable is_func : bool;
 }
 
-let make () = { label = -1; tenter = 0; texit = 0; parent = None; is_func = false }
+(* [texit = 0] keeps [covers none] false for every timestamp, so a walk
+   that climbs past the root stops here on its own. *)
+let rec none =
+  { label = -1; tenter = 0; texit = 0; parent = none; is_func = false }
+
+let make () =
+  { label = -1; tenter = 0; texit = 0; parent = none; is_func = false }
 let[@inline] duration c = c.texit - c.tenter
 let[@inline] active c = c.texit = 0
 let[@inline] covers c th = c.tenter <= th && th < c.texit

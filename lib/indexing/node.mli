@@ -11,9 +11,15 @@ type t = {
   mutable label : int;  (** head pc of the static construct *)
   mutable tenter : int;
   mutable texit : int;  (** 0 while the instance is active *)
-  mutable parent : t option;
+  mutable parent : t;  (** {!none} for a root instance *)
   mutable is_func : bool;
 }
+
+val none : t
+(** The parent of a root instance: a shared sentinel (its own parent),
+    compared with [==]. A link to it costs no allocation, where an
+    [option] would box one [Some] per construct instance. It is never
+    pushed or recycled, and {!covers} is false on it for every time. *)
 
 val make : unit -> t
 

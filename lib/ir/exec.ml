@@ -116,102 +116,50 @@ let binfn (op : Minic.Ast.binop) : int -> int -> int =
   | Ne -> fun a b -> if a <> b then 1 else 0
   | Div | Mod | Shl | Shr | LogAnd | LogOr -> assert false
 
-let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
-    ?range_has_target ?set_time ?obs (hooks : Vm.Hooks.t) ?fuel ?max_depth
-    (lw : Lower.t) =
+let run_ir ~hooked ~trace_locals ?prune ?instr_range ?range_has_target
+    ?set_time ?obs (hooks : Vm.Hooks.t) ?fuel ?max_depth (lw : Lower.t) =
   let prog = lw.prog in
   let st = VS.create ?max_depth prog in
   let fuel = match fuel with Some f -> f | None -> max_int in
-  (* Event delivery: with the ring on, every hook call site below
-     appends packed ints and the real hooks only run at drain points
-     (capacity, deoptimization, run exit). With it off, the sinks are
-     the hooks themselves — the reference delivery discipline. All
-     sinks are resolved once here so the compiled closures carry no
-     per-event mode branch. Ring events are stamped with the emitting
-     clock ([st.instructions]); when the caller also supplies
+  (* Event delivery: every hook call site below appends packed ints to
+     the ring, and the real hooks only run at drain points (capacity,
+     deoptimization, run exit). Ring events are stamped with the
+     emitting clock ([st.instructions]); when the caller also supplies
      [range_has_target] and [set_time] (the profiler does), segments
      without a construct join never enter the ring at all — the drain
-     restores the clock from the stamps instead. *)
+     restores the clock from the stamps instead. An unhooked run emits
+     nothing, so its ring is the minimum size. *)
   let rg =
-    if hooked && ring then Some (Ring.create ?obs ?instr_range ?set_time hooks)
-    else None
+    Ring.create ?obs
+      ~capacity:(if hooked then Ring.default_capacity else 0)
+      ?instr_range ?set_time hooks
   in
-  let flush_ring =
-    match rg with
-    | Some r -> fun () -> Ring.drain r ~now:st.instructions
-    | None -> fun () -> ()
-  in
-  let ev_read =
-    match rg with
-    | Some r -> fun ~pc ~addr -> Ring.read r ~pc ~addr ~tm:st.instructions
-    | None -> hooks.on_read
-  in
-  let ev_write =
-    match rg with
-    | Some r -> fun ~pc ~addr -> Ring.write r ~pc ~addr ~tm:st.instructions
-    | None -> hooks.on_write
-  in
-  let ev_branch =
-    match rg with
-    | Some r ->
-        fun ~pc ~kind ~cid ~taken ->
-          Ring.branch r ~pc ~kind ~cid ~taken ~tm:st.instructions
-    | None -> hooks.on_branch
-  in
-  let ev_call =
-    match rg with
-    | Some r -> fun ~pc ~fid -> Ring.call r ~pc ~fid ~tm:st.instructions
-    | None -> hooks.on_call
-  in
-  let ev_ret =
-    match rg with
-    | Some r -> fun ~pc ~fid -> Ring.ret r ~pc ~fid ~tm:st.instructions
-    | None -> hooks.on_ret
-  in
-  let ev_release =
-    match rg with
-    | Some r ->
-        fun ~base ~size -> Ring.frame_release r ~base ~size ~tm:st.instructions
-    | None -> hooks.on_frame_release
-  in
-  let ev_range =
-    match rg with
-    | Some r ->
-        (* [Ring.instr_range] open-coded: this fires once per retired
-           IR segment that must appear in the stream — without flambda
-           the closure would pay a second real call just to reach a
-           compare-and-stores body. Both no-call outcomes (extend the
-           pending range, or start one when none is pending) stay in
-           the closure. [t0] is the clock before the segment's first
-           pc; the extend case keeps the pending range's own start. *)
-        fun lo hi t0 ->
-          if r.Ring.p_hi + 1 = lo then r.Ring.p_hi <- hi
-          else begin
-            if r.Ring.p_hi <> min_int then Ring.flush_pending r;
-            r.Ring.p_lo <- lo;
-            r.Ring.p_hi <- hi;
-            r.Ring.p_t <- t0
-          end
-    | None ->
-        let on_instr = hooks.on_instr in
-        fun lo hi _t0 ->
-          for q = lo to hi do
-            on_instr ~pc:q
-          done
+  let flush_ring () = Ring.drain rg ~now:st.instructions in
+  (* [Ring.instr_range] open-coded: this fires once per retired IR
+     segment that must appear in the stream — without flambda the
+     closure would pay a second real call just to reach a
+     compare-and-stores body. Both no-call outcomes (extend the pending
+     range, or start one when none is pending) stay in the closure.
+     [t0] is the clock before the segment's first pc; the extend case
+     keeps the pending range's own start. *)
+  let ev_range lo hi t0 =
+    if rg.Ring.p_hi + 1 = lo then rg.Ring.p_hi <- hi
+    else begin
+      if rg.Ring.p_hi <> min_int then Ring.flush_pending rg;
+      rg.Ring.p_lo <- lo;
+      rg.Ring.p_hi <- hi;
+      rg.Ring.p_t <- t0
+    end
   in
   (* Must a segment appear in the event stream? Without the consumer
-     contract (ring + [range_has_target] + [set_time]) every segment
-     must; with it, only segments holding a construct join point — the
-     rest contribute nothing but a clock advance, which rides on the
-     stamps. Decided once per IR instruction at closure-build time. *)
+     contract ([range_has_target] + [set_time]) every segment must;
+     with it, only segments holding a construct join point — the rest
+     contribute nothing but a clock advance, which rides on the stamps.
+     Decided once per IR instruction at closure-build time. *)
   let must_emit_range =
-    match (rg, range_has_target) with
-    | Some _, Some f -> f
-    | _ -> fun ~lo:_ ~hi:_ -> true
+    match range_has_target with Some f -> f | None -> fun ~lo:_ ~hi:_ -> true
   in
-  let allocs =
-    Array.map (fun fi -> Regalloc.allocate ~identity:(not regalloc) lw fi) lw.funcs
-  in
+  let allocs = Array.map (Regalloc.allocate lw) lw.funcs in
   let pre_alloc = Regalloc.identity 1 in
   let wt = needs_tags lw in
   (match obs with
@@ -629,7 +577,7 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
           let ds = slot dst in
           fun () ->
             tick ();
-            ev_read ~pc:epc ~addr;
+            Ring.read rg ~pc:epc ~addr ~tm:st.instructions;
             Array.unsafe_set xs.regs (xs.rb + ds) (Array.unsafe_get st.mem addr);
             if wt then
               Bytes.unsafe_set xs.rtg (xs.rb + ds)
@@ -640,7 +588,7 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
           let tg = gettag v tv in
           fun () ->
             tick ();
-            if ev then ev_write ~pc:epc ~addr;
+            if ev then Ring.write rg ~pc:epc ~addr ~tm:st.instructions;
             Array.unsafe_set st.mem addr (gv ());
             Bytes.unsafe_set st.mem_tag addr (tg ());
             next
@@ -656,7 +604,7 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
             if ixv < 0 || ixv >= len then
               VS.trap st epc "index %d out of bounds [0,%d)" ixv len;
             let addr = base + ixv in
-            if ev then ev_read ~pc:epc ~addr;
+            if ev then Ring.read rg ~pc:epc ~addr ~tm:st.instructions;
             Array.unsafe_set xs.regs (xs.rb + ds) (Array.unsafe_get st.mem addr);
             if wt then
               Bytes.unsafe_set xs.rtg (xs.rb + ds)
@@ -677,7 +625,7 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
             if ixv < 0 || ixv >= len then
               VS.trap st epc "index %d out of bounds [0,%d)" ixv len;
             let addr = base + ixv in
-            if ev then ev_write ~pc:epc ~addr;
+            if ev then Ring.write rg ~pc:epc ~addr ~tm:st.instructions;
             Array.unsafe_set st.mem addr vv;
             Bytes.unsafe_set st.mem_tag addr vt;
             next
@@ -697,7 +645,9 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
             tick ();
             let taken = gc () = 0 in
             st.n_branches <- st.n_branches + 1;
-            if hooked then ev_branch ~pc:epc ~kind:bkind ~cid ~taken;
+            if hooked then
+              Ring.branch rg ~pc:epc ~kind:bkind ~cid ~taken
+                ~tm:st.instructions;
             if taken then target else next
       | EndB ->
           fun () ->
@@ -744,7 +694,8 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
             st.n_calls <- st.n_calls + 1;
             if st.depth > st.depth_hwm then st.depth_hwm <- st.depth;
             if st.stack_top > st.mem_hwm then st.mem_hwm <- st.stack_top;
-            if hooked then ev_call ~pc:fentry ~fid:cfid;
+            if hooked then
+              Ring.call rg ~pc:fentry ~fid:cfid ~tm:st.instructions;
             let wb = xs.rtop in
             ensure_regs (wb + wsize);
             Array.fill xs.regs wb wsize 0;
@@ -776,8 +727,9 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
             st.depth <- st.depth - 1;
             let d = st.depth in
             if hooked then begin
-              ev_ret ~pc:epc ~fid:myfid;
-              ev_release ~base:st.frame_base ~size:fslots
+              Ring.ret rg ~pc:epc ~fid:myfid ~tm:st.instructions;
+              Ring.frame_release rg ~base:st.frame_base ~size:fslots
+                ~tm:st.instructions
             end;
             st.n_frames_released <- st.n_frames_released + 1;
             st.stack_top <- st.frame_base;
@@ -813,14 +765,17 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
   in
   VS.finish st exit_value
 
-let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true)
-    ?(ring = true) ?instr_range ?range_has_target ?set_time ?obs
-    (hooks : Vm.Hooks.t) ?fuel ?max_depth (prog : Vm.Program.t) =
-  let hook_locals = hooked && trace_locals in
-  if hook_locals then
-    (* local tracing events are not modeled in the IR; the threaded
-       engine handles the -O0 model *)
-    Vm.Lower.exec ~hooked ~trace_locals ?prune hooks ?fuel ?max_depth prog
+(* The two cases the IR does not model run on the switch reference:
+   the -O0 local-tracing model (its per-local-access events have no IR
+   counterpart) and programs whose lowering bails (nonstandard bytecode,
+   e.g. a [Halt] outside [main] or a join with mismatched stack depths —
+   compiler-produced programs always lower). *)
+let exec ~hooked ?(trace_locals = true) ?prune ?instr_range ?range_has_target
+    ?set_time ?obs (hooks : Vm.Hooks.t) ?fuel ?max_depth (prog : Vm.Program.t) =
+  let switch () =
+    Vm.Machine.exec ~hooked ~trace_locals ?prune hooks ?fuel ?max_depth prog
+  in
+  if hooked && trace_locals then switch ()
   else
     let pruned =
       match prune with
@@ -828,10 +783,7 @@ let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true)
       | None -> fun _ -> false
     in
     match Lower.lower ~hooked ~pruned prog with
-    | None ->
-        (* lowering bailed (nonstandard bytecode): the threaded engine is
-           always exact *)
-        Vm.Lower.exec ~hooked ~trace_locals ?prune hooks ?fuel ?max_depth prog
+    | None -> switch ()
     | Some lw ->
-        run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
-          ?range_has_target ?set_time ?obs hooks ?fuel ?max_depth lw
+        run_ir ~hooked ~trace_locals ?prune ?instr_range ?range_has_target
+          ?set_time ?obs hooks ?fuel ?max_depth lw

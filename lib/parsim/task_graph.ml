@@ -181,7 +181,7 @@ let collect ?fuel ?(trace_locals = false) ?(privatized = []) ?(reductions = [])
           Shadow.Shadow_memory.clear_range shadow ~base ~size);
     }
   in
-  let r = Vm.Machine.run_hooked ~trace_locals ?fuel hooks prog in
+  let r = Ir.Engine.run_hooked ~trace_locals ?fuel hooks prog in
   Indexing.Rules.finish rules;
   let instances =
     Array.init !n_completed (fun i ->

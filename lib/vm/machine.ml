@@ -19,24 +19,13 @@ type result = Vmstate.result = {
   metrics : metrics;
 }
 
-type engine = Switch | Threaded | Register
-
-let engine_to_string = function
-  | Switch -> "switch"
-  | Threaded -> "threaded"
-  | Register -> "register"
-
-let engine_of_string = function
-  | "switch" -> Some Switch
-  | "threaded" -> Some Threaded
-  | "register" -> Some Register
-  | _ -> None
+type engine = Switch | Register
 
 (* The reference switch loop, continuable from any machine state: one
    [match] per executed instruction, [hooked]/[trace_locals] tested at
-   run time. Kept as the semantic baseline the closure-threaded engine
-   ([Lower]) and the register-IR backend ([Ir.Exec]) are differentially
-   tested against — see test/test_engines.ml. The register backend also
+   run time. Kept as the semantic baseline the register-IR backend
+   ([Ir.Exec]) is differentially tested against — see
+   test/test_engines.ml. The register backend also
    re-enters it mid-run (via {!switch_resume}) when fuel runs out inside
    a tick segment, so "out of fuel" traps at the exact constituent pc. *)
 let switch_loop ~hooked ~hook_locals ~pruned (hooks : Hooks.t) ~fuel
@@ -213,35 +202,26 @@ let resolve_prune ~hook_locals prune =
   | Some m -> fun p -> Array.unsafe_get m p
   | None -> fun _ -> false
 
-let exec_switch ~hooked ?(trace_locals = true) ?prune (hooks : Hooks.t) ?fuel
-    ?max_depth (prog : Program.t) =
-  let hook_locals = hooked && trace_locals in
-  let pruned = resolve_prune ~hook_locals prune in
-  let st = Vmstate.create ?max_depth prog in
-  let fuel = match fuel with Some f -> f | None -> max_int in
-  Vmstate.finish st
-    (switch_loop ~hooked ~hook_locals ~pruned hooks ~fuel st prog 0)
-
 let switch_resume ~hooked ?(trace_locals = true) ?prune (hooks : Hooks.t)
     ~fuel st (prog : Program.t) ~pc =
   let hook_locals = hooked && trace_locals in
   let pruned = resolve_prune ~hook_locals prune in
   switch_loop ~hooked ~hook_locals ~pruned hooks ~fuel st prog pc
 
-let exec ?(engine = Threaded) ~hooked ?trace_locals ?prune (hooks : Hooks.t)
-    ?fuel ?max_depth prog =
+let exec ~hooked ?trace_locals ?prune (hooks : Hooks.t) ?fuel ?max_depth
+    (prog : Program.t) =
+  let st = Vmstate.create ?max_depth prog in
+  let fuel = Option.value fuel ~default:max_int in
+  Vmstate.finish st
+    (switch_resume ~hooked ?trace_locals ?prune hooks ~fuel st prog ~pc:0)
+
+let run ?(engine = Switch) ?fuel ?max_depth prog =
   match engine with
-  | Switch ->
-      exec_switch ~hooked ?trace_locals ?prune hooks ?fuel ?max_depth prog
-  | Threaded ->
-      Lower.exec ~hooked ?trace_locals ?prune hooks ?fuel ?max_depth prog
+  | Switch -> exec ~hooked:false Hooks.noop ?fuel ?max_depth prog
   | Register ->
       (* The register backend lives above this library (lib/ir depends on
          lib/vm); dispatch through [Ir.Engine] instead. *)
-      invalid_arg "Machine.exec: register engine requires Ir.Engine"
+      invalid_arg "Machine.run: register engine requires Ir.Engine"
 
-let run ?engine ?fuel ?max_depth prog =
-  exec ?engine ~hooked:false Hooks.noop ?fuel ?max_depth prog
-
-let run_hooked ?engine ?trace_locals ?prune ?fuel ?max_depth hooks prog =
-  exec ?engine ~hooked:true ?trace_locals ?prune hooks ?fuel ?max_depth prog
+let run_hooked ?trace_locals ?prune ?fuel ?max_depth hooks prog =
+  exec ~hooked:true ?trace_locals ?prune hooks ?fuel ?max_depth prog

@@ -1,22 +1,20 @@
-(** The bytecode interpreter — public entry points for both execution
-    engines.
+(** The reference bytecode interpreter.
 
-    Three engines share the same semantics (differentially tested in
+    One [match] per executed instruction: slower than the production
+    engine, but structurally close to the operational semantics. Two
+    engines share the same semantics (differentially tested in
     test/test_engines.ml):
 
-    - {!Threaded} (the default): the closure-threaded engine in {!Lower}.
-      The program is pre-lowered once into a flat array of closures with
-      hook configuration, per-pc metadata and superinstruction fusion
-      baked in; the hot loop does zero per-step decoding.
-    - {!Switch}: the reference interpreter — one [match] per executed
-      instruction. Slower, but structurally close to the operational
-      semantics; kept as the baseline every threaded-engine change is
-      checked against.
-    - {!Register}: the register-IR backend in [Ir.Exec] — stack bytecode
-      compiled to three-address code over allocated registers. It lives
-      in a library above this one, so selecting it here raises; dispatch
-      through [Ir.Engine.run] / [Ir.Engine.run_hooked], which accept all
-      three engines.
+    - {!Register}, the production engine: the register-IR backend in
+      [Ir.Exec], stack bytecode compiled to three-address code over
+      allocated registers with batched hook delivery. It lives in a
+      library above this one, so it is dispatched through
+      [Ir.Engine.run] / [Ir.Engine.run_hooked], never from here.
+    - {!Switch}, this module: the reference every production-engine
+      change is checked against, the register engine's deoptimization
+      target ({!switch_resume}), and the engine the register engine
+      falls back to for the two cases it does not model (the -O0
+      local-tracing model and programs its lowering rejects).
 
     Both produce identical results, metrics, hook-event streams and trap
     behavior; {!run} is the plain interpreter (the "native" baseline of
@@ -47,10 +45,9 @@ type result = Vmstate.result = {
   metrics : metrics;
 }
 
-type engine = Switch | Threaded | Register
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
+type engine = Switch | Register
+(** [Register] is the production engine (the default of [Ir.Engine],
+    the profiler and the service); [Switch] is this module. *)
 
 val switch_resume :
   hooked:bool ->
@@ -71,7 +68,6 @@ val switch_resume :
     @raise Trap as {!run}. *)
 
 val exec :
-  ?engine:engine ->
   hooked:bool ->
   ?trace_locals:bool ->
   ?prune:bool array ->
@@ -80,19 +76,20 @@ val exec :
   ?max_depth:int ->
   Program.t ->
   result
-(** Generalized entry point behind {!run} / {!run_hooked}; exported for
-    [Ir.Engine], which layers the register backend on top.
-    @raise Invalid_argument when [engine] is {!Register} — that engine
-    is dispatched by [Ir.Engine], not here. *)
+(** The switch interpreter behind {!run} / {!run_hooked}; exported for
+    [Ir.Engine], which dispatches between it and the register engine.
+    @raise Trap as {!run}. *)
 
 val run : ?engine:engine -> ?fuel:int -> ?max_depth:int -> Program.t -> result
-(** Executes the program. [engine] selects the execution engine (default
-    {!Threaded}), [fuel] bounds the number of executed instructions
-    (default: unlimited), [max_depth] the call depth (default 10_000).
-    @raise Trap on runtime errors. *)
+(** Executes the program on the switch interpreter. [engine] defaults to
+    {!Switch}, the only engine this module runs; [fuel] bounds the number
+    of executed instructions (default: unlimited), [max_depth] the call
+    depth (default 10_000).
+    @raise Trap on runtime errors.
+    @raise Invalid_argument when [engine] is {!Register} — that engine
+    is dispatched by [Ir.Engine.run]. *)
 
 val run_hooked :
-  ?engine:engine ->
   ?trace_locals:bool ->
   ?prune:bool array ->
   ?fuel:int ->
@@ -100,10 +97,9 @@ val run_hooked :
   Hooks.t ->
   Program.t ->
   result
-(** Same as {!run}, firing instrumentation callbacks. Both engines emit
-    the exact same event stream (pcs, addresses, ordering) and the same
-    instruction-count clock — superinstruction fusion in the threaded
-    engine is event-transparent.
+(** Same as {!run}, firing instrumentation callbacks. The register
+    engine emits the exact same event stream (pcs, addresses, ordering)
+    and the same instruction-count clock.
 
     [trace_locals] (default [true]) controls whether scalar frame slots
     generate memory events. Mini-C never takes the address of a scalar
@@ -116,7 +112,7 @@ val run_hooked :
     hooks are skipped (all other hooks and the VM metrics counters still
     fire) — the static pruning oracle ({!Static.Depend.prune_mask})
     guarantees the skipped events cannot change the resulting profile.
-    Both engines honor the mask identically: the switch engine tests it
-    per event, the threaded engine specializes it away at lowering time.
+    Both engines honor the mask identically: this one tests it per
+    event, the register engine resolves it when it compiles the program.
     Ignored when locals are traced — the mask only models the default
     event set. *)

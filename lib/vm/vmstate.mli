@@ -2,12 +2,13 @@
     state, the unboxed value representation (int payload + one-byte tag),
     operand-stack and memory primitives, and the operator evaluators.
 
-    {!Machine} (the reference switch interpreter) and {!Lower} (the
-    closure-threaded engine) both execute on this state with these
+    {!Machine} (the reference switch interpreter) and the register-IR
+    engine in [Ir.Exec] both execute on this state with these
     primitives, which is what makes them differentially testable down to
-    the individual metric counter. User code should go through
-    {!Machine.run} / {!Machine.run_hooked}; this interface exists for the
-    engines and for white-box tests. *)
+    the individual metric counter — and what lets the register engine
+    hand a half-finished run to the switch loop mid-flight. User code
+    should go through [Ir.Engine] or {!Machine.run}; this interface
+    exists for the engines and for white-box tests. *)
 
 exception Trap of string * int
 (** Runtime error (division by zero, out-of-bounds index, stack overflow,

@@ -13,68 +13,31 @@ dune runtest
 dune exec --no-build -- alchemist profile workload:aes:64 --telemetry > /dev/null
 dune exec --no-build -- alchemist profile workload:aes:64 --telemetry=json > /dev/null
 
-# Smoke-test the reference interpreter: the switch engine must stay
-# runnable from the CLI even though threaded is the default.
-dune exec --no-build -- alchemist run workload:aes:64 --engine=switch > /dev/null
+# Engine differential: the production register engine against the
+# switch reference — byte-identical Profile_io output on every registry
+# workload, full hook-event streams, every fuel level, and the qcheck
+# random-program matrix (test/test_engines.ml). Named here so a
+# divergence is reported as its own CI step.
+dune exec test/test_main.exe -- test engines
 
-# Engine differential: both engines must produce byte-identical saved
-# profiles for the same workload (the full differential matrix lives in
-# test/test_engines.ml; this guards the CLI wiring end to end).
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=threaded --save "$tmpdir/threaded.prof" > /dev/null
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=switch --save "$tmpdir/switch.prof" > /dev/null
-cmp "$tmpdir/threaded.prof" "$tmpdir/switch.prof"
-echo "engine differential: profiles byte-identical"
-
-# Register-IR differential: the register backend must match the stack
-# engines byte for byte through the CLI too, with and without the
-# graph-coloring allocator (regalloc only reshuffles slots — any
-# observable difference means a canonicalization move went missing).
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --save "$tmpdir/register.prof" > /dev/null
-if ! cmp "$tmpdir/threaded.prof" "$tmpdir/register.prof"; then
-  echo "register engine diverged from threaded on gzip" >&2
-  exit 1
-fi
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --regalloc=false \
-  --save "$tmpdir/register-noalloc.prof" > /dev/null
-if ! cmp "$tmpdir/register.prof" "$tmpdir/register-noalloc.prof"; then
-  echo "regalloc changed the register engine's profile" >&2
-  exit 1
-fi
-echo "register differential: profiles byte-identical"
-
-# Ring differential: batched hook delivery through the event ring must
-# not change a single byte of the profile versus direct delivery. The
-# ring reorders *when* hooks run (drain-in-bulk, clock restored from
-# event stamps, join-free segments elided), never *what* they observe —
-# this guards that equivalence end to end through the CLI.
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --ring=false \
-  --save "$tmpdir/register-noring.prof" > /dev/null
-if ! cmp "$tmpdir/register.prof" "$tmpdir/register-noring.prof"; then
-  echo "event ring changed the register engine's profile" >&2
-  exit 1
-fi
-echo "ring differential: profiles byte-identical"
+  --save "$tmpdir/gzip.prof" > /dev/null
 
 # Regalloc sanity: on gzip the coloring must fit the 16-slot window —
 # a nonzero spill count here means the allocator regressed (the
 # workloads' functions never keep more than 16 values live).
 spills=$(dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --telemetry \
-  | awk '$1 == "ir.spills" { print $2 }')
+  --telemetry | awk '$1 == "ir.spills" { print $2 }')
 [ -n "$spills" ] || { echo "ir.spills gauge missing from telemetry" >&2; exit 1; }
 [ "$spills" -eq 0 ] || { echo "regalloc spilled on gzip: $spills" >&2; exit 1; }
 echo "regalloc sanity: 0 spills on gzip"
 
 # Static checker over every registry workload: CFA validation
 # (Cfa.Analysis.validate — any discrepancy fails), prune-on/prune-off
-# byte-identity, profile round-trip, and the dynamic-profile sanitizer —
+# byte-identity (the in-process comparison is the pruning differential),
+# profile round-trip, and the dynamic-profile sanitizer —
 # which cross-validates every observed min Tdep against the distance
 # engine's proven lower bounds. At least one workload (par2's gfexp
 # table) must actually carry a validated bound, or the distance layer
@@ -119,10 +82,10 @@ echo "legality gate: every workload persists validated v4 verdicts"
 # 2. Seeded failure: retag one of gzip's serializing legality lines as
 #    privatizable; the sanitizer must refuse the profile (this proves the
 #    legality cross-check can actually fire, not just that clean profiles
-#    pass). The threaded.prof saved above is gzip's version-4 profile.
-grep -q "^legality .* serial$" "$tmpdir/threaded.prof"
+#    pass). The gzip.prof saved above is gzip's version-5 profile.
+grep -q "^legality .* serial$" "$tmpdir/gzip.prof"
 awk '!seeded && $1 == "legality" && $5 == "serial" { $5 = "priv"; seeded = 1 }
-     { print }' "$tmpdir/threaded.prof" > "$tmpdir/gzip-bad.prof"
+     { print }' "$tmpdir/gzip.prof" > "$tmpdir/gzip-bad.prof"
 if dune exec --no-build -- alchemist check workload:gzip-1.3.5:2 \
      --profile "$tmpdir/gzip-bad.prof" > "$tmpdir/legality-seeded.out" 2>&1
 then
@@ -172,11 +135,11 @@ echo "race gate: verify --json sound, every workload persists v5 statuses"
 # 2. Seeded failure: flip one of gzip's racy statuses to race-free in
 #    the saved profile; the sanitizer must refuse it — a forged
 #    race-free tag is exactly the corruption that would green-light an
-#    unsafe spawn. The threaded.prof saved above is gzip's version-5
+#    unsafe spawn. The gzip.prof saved above is gzip's version-5
 #    profile.
-grep -q "^race .* racy$" "$tmpdir/threaded.prof"
+grep -q "^race .* racy$" "$tmpdir/gzip.prof"
 awk '!seeded && $1 == "race" && $3 == "racy" { $3 = "race-free"; seeded = 1 }
-     { print }' "$tmpdir/threaded.prof" > "$tmpdir/gzip-race-bad.prof"
+     { print }' "$tmpdir/gzip.prof" > "$tmpdir/gzip-race-bad.prof"
 if dune exec --no-build -- alchemist check workload:gzip-1.3.5:2 \
      --profile "$tmpdir/gzip-race-bad.prof" > "$tmpdir/race-seeded.out" 2>&1
 then
@@ -196,15 +159,6 @@ awk '$1 == "alchemist-profile" { $2 = 4 } $1 == "race" { next } { print }' \
   "$tmpdir/par2.prof" > "$tmpdir/par2-race-stripped.prof"
 cmp "$tmpdir/par2-race-stripped.prof" "$tmpdir/par2-v4.prof"
 echo "race-free writer: byte-exact version-4 output"
-
-# Pruning differential through the CLI: instrumentation pruning must not
-# change a single byte of the saved profile.
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --save "$tmpdir/prune-on.prof" > /dev/null
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --static-prune=false --save "$tmpdir/prune-off.prof" > /dev/null
-cmp "$tmpdir/prune-on.prof" "$tmpdir/prune-off.prof"
-echo "pruning differential: profiles byte-identical"
 
 # Serve smoke test: a 10-request stdin batch through the registry
 # service must save exactly the same bytes as the one-shot profile

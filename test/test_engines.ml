@@ -1,18 +1,18 @@
-(* Differential tests: the closure-threaded engine (Vm.Lower) and the
-   register-IR backend (Ir.Exec) against the reference switch
-   interpreter. The engines must agree on everything observable —
-   results, metric counters, the full hook-event stream (pcs, addresses,
-   ordering), canonical profiles, telemetry, and trap (message, pc)
-   pairs, including at every fuel level, where fused superinstructions
-   (threaded) and tick segments (register) must hand the machine back to
-   the reference loop mid-window. *)
+(* Differential tests: the production register-IR engine (Ir.Exec)
+   against the reference switch interpreter. The engines must agree on
+   everything observable — results, metric counters, the full hook-event
+   stream (pcs, addresses, ordering), canonical profiles, telemetry, and
+   trap (message, pc) pairs, including at every fuel level, where tick
+   segments must hand the machine back to the reference loop
+   mid-segment — and so must the two cases the register engine runs on
+   the switch loop (local tracing, programs its lowering rejects). *)
 
 module Machine = Vm.Machine
 module Profiler = Alchemist.Profiler
 
 let fuel = 10_000_000
-let engines = [ Machine.Switch; Machine.Threaded; Machine.Register ]
-let ename e = Machine.engine_to_string e
+let engines = [ Machine.Switch; Machine.Register ]
+let ename = function Machine.Switch -> "switch" | Machine.Register -> "register"
 
 let compile_workload (w : Workloads.Workload.t) =
   Vm.Compile.compile_source (w.source ~scale:w.test_scale)
@@ -43,18 +43,11 @@ let test_registry_unhooked () =
     (fun (w : Workloads.Workload.t) ->
       let prog = compile_workload w in
       let sw = Ir.Engine.run ~engine:Switch ~fuel prog in
-      List.iter
-        (fun engine ->
-          let r = Ir.Engine.run ~engine ~fuel prog in
-          check_same_result (w.name ^ " " ^ ename engine) sw r)
-        [ Machine.Threaded; Machine.Register ];
-      (* regalloc-off ablation: identity-mapped windows, same semantics *)
-      let id = Ir.Engine.run ~engine:Register ~regalloc:false ~fuel prog in
-      check_same_result (w.name ^ " register/regalloc=off") sw id)
+      check_same_result (w.name ^ " register") sw (Ir.Engine.run ~fuel prog))
     Workloads.Registry.all
 
 (* The register backend must actually compile every registry workload —
-   a silent bail would fall back to the threaded engine and pass every
+   a silent bail would fall back to the switch engine and pass every
    differential below vacuously. *)
 let test_register_lowering_coverage () =
   let check name prog =
@@ -79,9 +72,9 @@ let test_register_lowering_coverage () =
 
 (* Serialize every hook invocation; engines must produce byte-identical
    logs. This is stronger than comparing profiles: it pins the ordering
-   and the original pcs that fused steps and register tick segments are
-   required to preserve. *)
-let event_log ?(fuel = fuel) ?regalloc ?ring ~engine ~trace_locals prog =
+   and the original pcs that register tick segments are required to
+   preserve. *)
+let event_log ?(fuel = fuel) ~engine ~trace_locals prog =
   let buf = Buffer.create 65536 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let hooks =
@@ -103,14 +96,12 @@ let event_log ?(fuel = fuel) ?regalloc ?ring ~engine ~trace_locals prog =
       on_frame_release = (fun ~base ~size -> p "f %d %d\n" base size);
     }
   in
-  let r =
-    Ir.Engine.run_hooked ~engine ?regalloc ?ring ~trace_locals ~fuel hooks prog
-  in
+  let r = Ir.Engine.run_hooked ~engine ~trace_locals ~fuel hooks prog in
   p "exit %d %d\n" r.exit_value r.instructions;
   Buffer.contents buf
 
-let event_log_or_trap ?fuel ?regalloc ?ring ~engine ~trace_locals prog =
-  match event_log ?fuel ?regalloc ?ring ~engine ~trace_locals prog with
+let event_log_or_trap ?fuel ~engine ~trace_locals prog =
+  match event_log ?fuel ~engine ~trace_locals prog with
   | log -> log
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
 
@@ -118,14 +109,10 @@ let check_event_stream name prog =
   List.iter
     (fun trace_locals ->
       let name = Printf.sprintf "%s (trace_locals=%b)" name trace_locals in
-      let sw = event_log ~engine:Switch ~trace_locals prog in
-      List.iter
-        (fun engine ->
-          let l = event_log ~engine ~trace_locals prog in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s event stream" name (ename engine))
-            sw l)
-        [ Machine.Threaded; Machine.Register ])
+      Alcotest.(check string)
+        (name ^ ": register event stream")
+        (event_log ~engine:Switch ~trace_locals prog)
+        (event_log ~engine:Register ~trace_locals prog))
     [ false; true ]
 
 (* For the registry workloads (millions of events) a literal log would be
@@ -170,18 +157,16 @@ let test_registry_event_stream () =
           let hs, ns, es, is =
             event_signature ~engine:Switch ~trace_locals prog
           in
-          List.iter
-            (fun engine ->
-              let name =
-                Printf.sprintf "%s %s (trace_locals=%b)" w.name (ename engine)
-                  trace_locals
-              in
-              let ht, nt, et, it = event_signature ~engine ~trace_locals prog in
-              Alcotest.(check int) (name ^ ": event count") ns nt;
-              Alcotest.(check int) (name ^ ": event hash") hs ht;
-              Alcotest.(check int) (name ^ ": exit") es et;
-              Alcotest.(check int) (name ^ ": instructions") is it)
-            [ Machine.Threaded; Machine.Register ])
+          let name =
+            Printf.sprintf "%s register (trace_locals=%b)" w.name trace_locals
+          in
+          let ht, nt, et, it =
+            event_signature ~engine:Register ~trace_locals prog
+          in
+          Alcotest.(check int) (name ^ ": event count") ns nt;
+          Alcotest.(check int) (name ^ ": event hash") hs ht;
+          Alcotest.(check int) (name ^ ": exit") es et;
+          Alcotest.(check int) (name ^ ": instructions") is it)
         [ false; true ])
     Workloads.Registry.all
 
@@ -242,39 +227,36 @@ let test_registry_profiles () =
     (fun (w : Workloads.Workload.t) ->
       let prog = compile_workload w in
       let sw = Profiler.run ~engine:Switch ~fuel prog in
-      List.iter
-        (fun engine ->
-          let r = Profiler.run ~engine ~fuel prog in
-          let name = w.name ^ " " ^ ename engine in
-          Alcotest.(check string)
-            (name ^ ": canonical profile")
-            (Alchemist.Profile_io.to_string sw.profile)
-            (Alchemist.Profile_io.to_string r.profile);
-          Alcotest.(check string)
-            (name ^ ": telemetry")
-            (telemetry_text (Profiler.telemetry sw))
-            (telemetry_text (Profiler.telemetry r));
-          check_same_result (name ^ ": profiled run") sw.run r.run)
-        [ Machine.Threaded; Machine.Register ])
+      let r = Profiler.run ~fuel prog in
+      let name = w.name ^ " register" in
+      Alcotest.(check string)
+        (name ^ ": canonical profile")
+        (Alchemist.Profile_io.to_string sw.profile)
+        (Alchemist.Profile_io.to_string r.profile);
+      Alcotest.(check string)
+        (name ^ ": telemetry")
+        (telemetry_text (Profiler.telemetry sw))
+        (telemetry_text (Profiler.telemetry r));
+      check_same_result (name ^ ": profiled run") sw.run r.run)
     Workloads.Registry.all
 
 let test_engine_gauge () =
   let prog = Vm.Compile.compile_source "int main() { return 7; }" in
   let gauge engine =
-    let r = Profiler.run ~engine prog in
+    let r = Profiler.run ?engine prog in
     match Obs.find (Profiler.telemetry r) "vm.engine" with
     | Some (Obs.Level { last; _ }) -> last
     | _ -> -1
   in
-  Alcotest.(check int) "switch gauge" 0 (gauge Machine.Switch);
-  Alcotest.(check int) "threaded gauge" 1 (gauge Machine.Threaded);
-  Alcotest.(check int) "register gauge" 2 (gauge Machine.Register)
+  Alcotest.(check int) "switch gauge" 0 (gauge (Some Machine.Switch));
+  Alcotest.(check int) "register gauge" 2 (gauge (Some Machine.Register));
+  Alcotest.(check int) "default is register" 2 (gauge None)
 
 (* The register engine publishes its compilation telemetry. *)
 let test_register_telemetry () =
   let w = Workloads.Registry.find "gzip-1.3.5" in
   let prog = compile_workload w in
-  let r = Profiler.run ~engine:Machine.Register ~fuel prog in
+  let r = Profiler.run ~fuel prog in
   let level name =
     match Obs.find (Profiler.telemetry r) name with
     | Some (Obs.Level { last; _ }) -> last
@@ -292,70 +274,127 @@ let test_trace_locals_profile () =
   let w = Workloads.Registry.find "gzip-1.3.5" in
   let prog = compile_workload w in
   let sw = Profiler.run ~engine:Switch ~fuel ~trace_locals:true prog in
+  let r = Profiler.run ~fuel ~trace_locals:true prog in
+  Alcotest.(check string)
+    "trace_locals profile register"
+    (Alchemist.Profile_io.to_string sw.profile)
+    (Alchemist.Profile_io.to_string r.profile)
+
+(* --- switch fallback ------------------------------------------------------ *)
+
+(* Hand-assembled, since the compiler never emits it: [stop] halts the
+   machine from inside a function, which the register lowering rejects
+   (the IR models [Halt] only in the preamble), so the register engine
+   must run the whole program on the switch loop. [set] writes [g] and
+   returns; [stop] reads [g], writes [h = g + 1] and halts with [h] —
+   a RAW edge from a completed [set] instance into [stop] gives the
+   profile something to attribute. *)
+let halt_in_callee_prog () =
+  let dum = Minic.Srcloc.dummy in
+  let code =
+    [|
+      Vm.Instr.Call 0 (* preamble *);
+      Vm.Instr.Halt;
+      (* main, entry 2 *)
+      Vm.Instr.Call 1;
+      Vm.Instr.Pop;
+      Vm.Instr.Call 2;
+      Vm.Instr.Ret (* epilogue, pc 5 *);
+      (* set, entry 6 *)
+      Vm.Instr.Const 5;
+      Vm.Instr.StoreGlobal 0 (* g = 5 *);
+      Vm.Instr.Const 0;
+      Vm.Instr.Ret (* epilogue, pc 9 *);
+      (* stop, entry 10 *)
+      Vm.Instr.LoadGlobal 0;
+      Vm.Instr.Const 1;
+      Vm.Instr.Binop Minic.Ast.Add;
+      Vm.Instr.StoreGlobal 1 (* h = g + 1 *);
+      Vm.Instr.LoadGlobal 1;
+      Vm.Instr.Halt (* exit h *);
+      Vm.Instr.Const 0;
+      Vm.Instr.Ret (* epilogue, pc 17 *);
+    |]
+  in
+  let func fid name entry epilogue code_end =
+    {
+      Vm.Program.fid;
+      name;
+      entry;
+      epilogue;
+      code_end;
+      nparams = 0;
+      param_is_array = [||];
+      frame_slots = 1;
+      ret = Minic.Ast.RetInt;
+      loc = dum;
+    }
+  in
+  let cproc cid cname fid body_first body_last =
+    {
+      Vm.Program.cid;
+      kind = Vm.Program.CProc;
+      head_pc = body_first;
+      fid;
+      loc = dum;
+      cname;
+      body_first;
+      body_last;
+    }
+  in
+  let cid_of_pc = Array.make (Array.length code) (-1) in
+  cid_of_pc.(2) <- 0;
+  cid_of_pc.(6) <- 1;
+  cid_of_pc.(10) <- 2;
+  {
+    Vm.Program.code;
+    locs = Array.make (Array.length code) dum;
+    funcs =
+      [| func 0 "main" 2 5 6; func 1 "set" 6 9 10; func 2 "stop" 10 17 18 |];
+    constructs =
+      [| cproc 0 "main" 0 2 5; cproc 1 "set" 1 6 9; cproc 2 "stop" 2 10 17 |];
+    cid_of_pc;
+    globals_size = 2;
+    global_layout = [ ("g", 0, 1); ("h", 1, 1) ];
+    global_inits = [];
+    main_fid = 0;
+  }
+
+let test_switch_fallback () =
+  let prog = halt_in_callee_prog () in
   List.iter
-    (fun engine ->
-      let r = Profiler.run ~engine ~fuel ~trace_locals:true prog in
-      Alcotest.(check string)
-        ("trace_locals profile " ^ ename engine)
-        (Alchemist.Profile_io.to_string sw.profile)
-        (Alchemist.Profile_io.to_string r.profile))
-    [ Machine.Threaded; Machine.Register ]
-
-(* --- superinstruction ablation ----------------------------------------- *)
-
-let test_fusion_off () =
-  let w = Workloads.Registry.find "gzip-1.3.5" in
-  let prog = compile_workload w in
-  let sw =
-    Machine.run_hooked ~engine:Switch ~trace_locals:false ~fuel Vm.Hooks.noop
-      prog
+    (fun hooked ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lowering bails (hooked=%b)" hooked)
+        true
+        (Option.is_none
+           (Ir.Lower.lower ~hooked ~pruned:(fun _ -> false) prog)))
+    [ false; true ];
+  let sw = Ir.Engine.run ~engine:Switch ~fuel prog in
+  Alcotest.(check int) "halts with h" 6 sw.exit_value;
+  check_same_result "unhooked" sw (Ir.Engine.run ~fuel prog);
+  check_event_stream "halt in callee" prog;
+  let bytes engine =
+    Alchemist.Profile_io.to_string
+      (Profiler.run ~engine ~fuel prog).Profiler.profile
   in
-  let unfused =
-    Vm.Lower.exec ~hooked:true ~trace_locals:false ~fuse:false Vm.Hooks.noop
-      ~fuel prog
-  in
-  check_same_result "fuse=false" sw unfused
-
-let test_fusions_installed () =
-  let w = Workloads.Registry.find "gzip-1.3.5" in
-  let prog = compile_workload w in
-  let fs = Vm.Lower.fusions prog in
+  let reference = bytes Machine.Switch in
   Alcotest.(check bool)
-    "gzip has superinstruction sites" true
-    (List.length fs > 50);
-  (* Interiors are straight-line: no fused window spans a control
-     transfer except in its final slot. *)
-  List.iter
-    (fun (f : Vm.Lower.fusion) ->
-      for k = 0 to f.length - 2 do
-        Alcotest.(check bool)
-          (Printf.sprintf "window at %d interior control-free" f.head)
-          false
-          (Vm.Instr.is_control prog.Vm.Program.code.(f.head + k))
-      done)
-    fs;
-  (* The dominant loop idioms from the workload study are present. *)
-  let names = List.map (fun (f : Vm.Lower.fusion) -> f.name) fs in
-  List.iter
-    (fun expected ->
-      Alcotest.(check bool) ("has " ^ expected) true (List.mem expected names))
-    [ "load.l+const+bin+store.l+jmp"; "load.l+const+bin+brz"; "const+bin" ]
+    "profile records the set -> stop edge" true
+    (Testutil.contains reference "edge 1 ");
+  Alcotest.(check string) "profile" reference (bytes Machine.Register)
 
 (* --- fuel and traps ----------------------------------------------------- *)
 
-let run_outcome ~engine ?regalloc ?(trace_locals = false) ~fuel prog =
-  match
-    Ir.Engine.run_hooked ~engine ?regalloc ~trace_locals ~fuel Vm.Hooks.noop
-      prog
-  with
+let run_outcome ~engine ?(trace_locals = false) ~fuel prog =
+  match Ir.Engine.run_hooked ~engine ~trace_locals ~fuel Vm.Hooks.noop prog with
   | r -> Printf.sprintf "exit %d instrs %d" r.exit_value r.instructions
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
 
-(* Every fuel level from 0 to completion: the threaded engine must trap
-   "out of fuel" at exactly the same pc (exercising the fused steps'
-   stepwise fallback at every window offset), and the register engine
-   must deoptimize — rebuild the architectural stack-machine state and
-   resume in the switch loop — at every tick-segment offset. *)
+(* Every fuel level from 0 to completion: the register engine must
+   deoptimize — rebuild the architectural stack-machine state and
+   resume in the switch loop — at every tick-segment offset, so "out of
+   fuel" traps at exactly the reference pc. *)
 let test_fuel_sweep () =
   let src =
     "int g[6];\n\
@@ -370,49 +409,36 @@ let test_fuel_sweep () =
   let prog = Vm.Compile.compile_source src in
   let total = (Machine.run ~engine:Switch prog).instructions in
   for fuel = 0 to total do
-    let sw = run_outcome ~engine:Switch ~fuel prog in
-    Alcotest.(check string)
-      (Printf.sprintf "fuel=%d threaded" fuel)
-      sw
-      (run_outcome ~engine:Threaded ~fuel prog);
     Alcotest.(check string)
       (Printf.sprintf "fuel=%d register" fuel)
-      sw
-      (run_outcome ~engine:Register ~fuel prog);
-    Alcotest.(check string)
-      (Printf.sprintf "fuel=%d register/regalloc=off" fuel)
-      sw
-      (run_outcome ~engine:Register ~regalloc:false ~fuel prog)
+      (run_outcome ~engine:Switch ~fuel prog)
+      (run_outcome ~engine:Register ~fuel prog)
   done
 
-(* Traps raised from inside fused windows / tick segments must carry the
-   constituent's original pc and message. *)
+(* Traps raised from inside tick segments must carry the constituent's
+   original pc and message. *)
 let trap_cases =
   [
-    ( "div by zero in fused update",
+    ( "div by zero in update",
       "int main() { int x; int y; x = 9; y = 0; x = x / y; return x; }" );
-    ( "mod by zero in fused const op",
+    ( "mod by zero in const op",
       "int main() { int x; x = 7; x = x % 0; return x; }" );
-    ( "load out of bounds in fused index",
+    ( "load out of bounds in index",
       "int g[4];\nint main() { int i; i = 11; return g[i]; }" );
     ( "store out of bounds",
       "int g[4];\nint main() { int i; i = 4 + 3; g[i] = 1; return 0; }" );
-    ( "shift out of range in fused op",
+    ( "shift out of range in op",
       "int main() { int x; x = 1; x = x << 77; return x; }" );
   ]
 
-let test_fused_traps () =
+let test_traps () =
   List.iter
     (fun (name, src) ->
       let prog = Vm.Compile.compile_source src in
       let sw = run_outcome ~engine:Switch ~fuel prog in
-      List.iter
-        (fun engine ->
-          Alcotest.(check string)
-            (name ^ " " ^ ename engine)
-            sw
-            (run_outcome ~engine ~fuel prog))
-        [ Machine.Threaded; Machine.Register ];
+      Alcotest.(check string)
+        (name ^ " register") sw
+        (run_outcome ~engine:Register ~fuel prog);
       (* The trap must actually fire. *)
       Alcotest.(check bool)
         (name ^ " traps") true
@@ -421,25 +447,47 @@ let test_fused_traps () =
 
 (* --- event ring ---------------------------------------------------------- *)
 
-(* Ring on vs off on the register engine: batching hook delivery through
-   the event ring must not change one byte of the event stream. The
-   switch log is the reference for both. *)
+(* Clock stamps: a consumer that supplies [set_time] and declares no
+   segment a join point ([range_has_target] always false) receives no
+   instruction ranges at all, only the other events and the stamps they
+   were emitted under. Logging the consumer-side clock at every event
+   must still reproduce the switch loop's per-pc count exactly. *)
+let clocked_log ~engine prog =
+  let clock = ref 0 in
+  let buf = Buffer.create 4096 in
+  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let hooks =
+    {
+      Vm.Hooks.on_instr = (fun ~pc:_ -> incr clock);
+      on_read = (fun ~pc ~addr -> p "%d r %d %d\n" !clock pc addr);
+      on_write = (fun ~pc ~addr -> p "%d w %d %d\n" !clock pc addr);
+      on_branch =
+        (fun ~pc ~kind:_ ~cid ~taken ->
+          p "%d b %d %d %b\n" !clock pc cid taken);
+      on_call = (fun ~pc ~fid -> p "%d c %d %d\n" !clock pc fid);
+      on_ret = (fun ~pc ~fid -> p "%d t %d %d\n" !clock pc fid);
+      on_frame_release =
+        (fun ~base ~size -> p "%d f %d %d\n" !clock base size);
+    }
+  in
+  let r =
+    Ir.Engine.run_hooked ~engine ~trace_locals:false ~fuel
+      ~instr_range:(fun ~lo:_ ~hi:_ -> Alcotest.fail "range not elided")
+      ~range_has_target:(fun ~lo:_ ~hi:_ -> false)
+      ~set_time:(fun n -> clock := n)
+      hooks prog
+  in
+  p "exit %d %d clock %d\n" r.exit_value r.instructions !clock;
+  Buffer.contents buf
+
 let test_ring_event_stream () =
   List.iter
     (fun (name, src) ->
       let prog = Vm.Compile.compile_source src in
-      List.iter
-        (fun trace_locals ->
-          let sw = event_log ~engine:Switch ~trace_locals prog in
-          List.iter
-            (fun ring ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s ring=%b (trace_locals=%b)" name ring
-                   trace_locals)
-                sw
-                (event_log ~engine:Register ~ring ~trace_locals prog))
-            [ true; false ])
-        [ false; true ])
+      Alcotest.(check string)
+        (name ^ " clocked stream")
+        (clocked_log ~engine:Switch prog)
+        (clocked_log ~engine:Register prog))
     fig4_snippets
 
 (* Fuel-boundary regression: single-step fuel across every tick-segment
@@ -447,7 +495,7 @@ let test_ring_event_stream () =
    buffered events must reach the hooks BEFORE the switch resume
    delivers its own — flushing after the stack rebuild (or not at all)
    reorders or drops the tail of the stream. Byte-compare the full
-   event log at every fuel level, ring on and off. *)
+   event log at every fuel level. *)
 let test_fuel_ring_sweep () =
   let src =
     "int g[6];\n\
@@ -462,23 +510,17 @@ let test_fuel_ring_sweep () =
   let prog = Vm.Compile.compile_source src in
   let total = (Machine.run ~engine:Switch prog).instructions in
   for fuel = 0 to total do
-    let sw = event_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog in
-    List.iter
-      (fun ring ->
-        Alcotest.(check string)
-          (Printf.sprintf "fuel=%d ring=%b" fuel ring)
-          sw
-          (event_log_or_trap ~fuel ~ring ~engine:Register ~trace_locals:false
-             prog))
-      [ true; false ]
+    Alcotest.(check string)
+      (Printf.sprintf "fuel=%d" fuel)
+      (event_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog)
+      (event_log_or_trap ~fuel ~engine:Register ~trace_locals:false prog)
   done
 
 (* Alloc/free churn: a frame with a local array released on every call
    inside a loop, so clear_range fires between batched accesses of the
    same addresses over and over — the shadow freshen memo must be
    invalidated by each release or stale cells would fabricate
-   cross-activation edges. Full profile byte-compare across engines and
-   ring modes. *)
+   cross-activation edges. Full profile byte-compare across engines. *)
 let test_churn_profile () =
   let src =
     "int acc[4];\n\
@@ -501,23 +543,14 @@ let test_churn_profile () =
     Alchemist.Profile_io.to_string
       (Profiler.run ~engine:Switch ~fuel prog).Profiler.profile
   in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun ring ->
-          Alcotest.(check string)
-            (Printf.sprintf "churn %s ring=%b" (ename engine) ring)
-            reference
-            (Alchemist.Profile_io.to_string
-               (Profiler.run ~engine ~ring ~fuel prog).Profiler.profile))
-        [ true; false ])
-    engines
+  Alcotest.(check string) "churn register" reference
+    (Alchemist.Profile_io.to_string (Profiler.run ~fuel prog).Profiler.profile)
 
 (* --- random program differential ---------------------------------------- *)
 
 let test_qcheck_differential () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"all engines on random programs" ~count:60
+    (QCheck.Test.make ~name:"register vs switch on random programs" ~count:60
        Testgen.arbitrary_program (fun p ->
          let prog = Vm.Compile.compile p in
          (* A tight budget keeps the logs small and makes "out of fuel"
@@ -528,25 +561,10 @@ let test_qcheck_differential () =
                event_log_or_trap ~fuel:200_000 ~engine ~trace_locals prog)
              [ false; true ]
          in
-         let sw = out Machine.Switch in
-         sw = out Machine.Threaded && sw = out Machine.Register))
+         out Machine.Switch = out Machine.Register))
 
-(* Register allocation is a pure renaming: coloring on vs. identity
-   windows must not change a single observable byte on random
-   programs. *)
-let test_qcheck_regalloc () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"regalloc on vs off on random programs" ~count:40
-       Testgen.arbitrary_program (fun p ->
-         let prog = Vm.Compile.compile p in
-         let out regalloc =
-           event_log_or_trap ~fuel:200_000 ~regalloc ~engine:Machine.Register
-             ~trace_locals:false prog
-         in
-         out true = out false))
-
-(* Random configuration matrix: any (engine, fuel bound, prune mask,
-   ring mode) must produce the profile of the reference configuration
+(* Random configuration matrix: any (engine, fuel bound, prune mask)
+   must produce the profile of the reference configuration
    byte-for-byte — or trap identically when the fuel bound bites. Runs
    over the Fig. 4 snippets plus the two smallest-scaled registry
    workloads. *)
@@ -562,31 +580,29 @@ let test_qcheck_profile_matrix () =
       | _ -> [])
   in
   let progs = Array.of_list progs in
-  let profile_or_trap ~engine ~ring ~static_prune ~fuel prog =
-    match Profiler.run ~engine ~ring ~static_prune ~fuel prog with
+  let profile_or_trap ~engine ~static_prune ~fuel prog =
+    match Profiler.run ~engine ~static_prune ~fuel prog with
     | r -> Alchemist.Profile_io.to_string r.Profiler.profile
     | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
   in
   let gen =
     QCheck.Gen.(
-      tup4 (int_bound (Array.length progs - 1))
-        (oneofl [ Machine.Switch; Machine.Threaded; Machine.Register ])
-        (tup2 (oneof [ int_range 1 5_000; return 10_000_000 ]) bool)
+      tup4 (int_bound (Array.length progs - 1)) (oneofl engines)
+        (oneof [ int_range 1 5_000; return 10_000_000 ])
         bool)
   in
-  let print (i, e, (fuel, prune), ring) =
-    Printf.sprintf "%s engine=%s fuel=%d prune=%b ring=%b" (fst progs.(i))
-      (ename e) fuel prune ring
+  let print (i, e, fuel, prune) =
+    Printf.sprintf "%s engine=%s fuel=%d prune=%b" (fst progs.(i)) (ename e)
+      fuel prune
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"profile identical across engine/fuel/prune/ring"
+    (QCheck.Test.make ~name:"profile identical across engine/fuel/prune"
        ~count:48
        (QCheck.make gen ~print)
-       (fun (i, engine, (fuel, static_prune), ring) ->
+       (fun (i, engine, fuel, static_prune) ->
          let _, prog = progs.(i) in
-         profile_or_trap ~engine:Machine.Switch ~ring:true ~static_prune:true
-           ~fuel prog
-         = profile_or_trap ~engine ~ring ~static_prune ~fuel prog))
+         profile_or_trap ~engine:Machine.Switch ~static_prune:true ~fuel prog
+         = profile_or_trap ~engine ~static_prune ~fuel prog))
 
 let suite =
   [
@@ -598,14 +614,12 @@ let suite =
     ("vm.engine gauge", `Quick, test_engine_gauge);
     ("register telemetry", `Quick, test_register_telemetry);
     ("trace_locals profile identical", `Quick, test_trace_locals_profile);
-    ("fusion off differential", `Quick, test_fusion_off);
-    ("fusions installed and well-formed", `Quick, test_fusions_installed);
+    ("switch fallback on lowering bail", `Quick, test_switch_fallback);
     ("fuel sweep trap parity", `Quick, test_fuel_sweep);
-    ("fused trap pc/message parity", `Quick, test_fused_traps);
+    ("trap pc/message parity", `Quick, test_traps);
     ("ring event streams", `Quick, test_ring_event_stream);
     ("ring fuel-boundary sweep", `Quick, test_fuel_ring_sweep);
     ("alloc/free churn profile", `Quick, test_churn_profile);
     ("qcheck differential", `Quick, test_qcheck_differential);
-    ("qcheck regalloc round-trip", `Quick, test_qcheck_regalloc);
     ("qcheck profile config matrix", `Quick, test_qcheck_profile_matrix);
   ]

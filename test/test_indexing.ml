@@ -76,14 +76,15 @@ let test_tree_push_pop () =
   let popped = ref [] in
   let t = Tree.create ~on_pop:(fun c -> popped := c.Node.label :: !popped) () in
   Tree.tick t;
-  let _a = Tree.push t ~label:1 ~is_func:true in
+  let a = Tree.push t ~label:1 ~is_func:true in
   Tree.tick t;
   let b = Tree.push t ~label:2 ~is_func:false in
   Alcotest.(check (option int)) "top is b" (Some 2)
     (Option.map (fun c -> c.Node.label) (Tree.top t));
   Alcotest.(check (list int)) "index" [ 1; 2 ] (Tree.index_of_top t);
-  Alcotest.(check bool) "parent link" true
-    (match b.Node.parent with Some p -> p.Node.label = 1 | None -> false);
+  Alcotest.(check bool) "parent link" true (b.Node.parent == a);
+  Alcotest.(check bool) "root links to the sentinel" true
+    (a.Node.parent == Node.none);
   Tree.tick t;
   let b' = Tree.pop t in
   Alcotest.(check bool) "pop returns top" true (b == b');

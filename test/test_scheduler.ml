@@ -131,9 +131,14 @@ let test_telemetry_invariants () =
   check Alcotest.int "every submission executed exactly once" n
     (count "sched.jobs");
   check Alcotest.int "submitted counter" n (count "sched.submitted");
-  (* every job reaches a worker via the injector or a steal *)
-  check Alcotest.int "injected + stolen = executed" n
-    (count "sched.injected" + count "sched.steals");
+  (* Every submission enters the injector and leaves it exactly once. A
+     steal moves a job that already left it (parked in a deque after a
+     batched grab), so steals are not part of that count — a stolen job
+     may even be stolen again. Each steal batch moves at least one job. *)
+  check Alcotest.int "every job left the injector once" n
+    (count "sched.injected");
+  check Alcotest.bool "steals >= steal batches" true
+    (count "sched.steals" >= count "sched.steal_batches");
   check Alcotest.bool "latency histogram saw every job" true
     (match Obs.find snap "sched.job_latency_ns" with
     | Some (Obs.Dist { count = c; _ }) -> c = n

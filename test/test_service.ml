@@ -1,5 +1,5 @@
-(* The registry service: cache-key canonicality (engine permutations
-   hit, any profile-determining option change misses), cold/warm/direct
+(* The registry service: cache-key canonicality (any
+   profile-determining option change misses), cold/warm/direct
    byte-identity, the on-disk store, reply ordering, and the
    static-facts reuse and validation paths. *)
 
@@ -81,39 +81,6 @@ let test_key_ignores_fingerprint_swap () =
   check Alcotest.bool "code changes key" false (k "a" "x" = k "b" "x");
   check Alcotest.bool "input changes key" false (k "a" "x" = k "a" "y");
   check Alcotest.bool "swap is not symmetric" false (k "a" "x" = k "x" "a")
-
-let test_engine_permutations_hit () =
-  (* the engine, ring, regalloc and prune knobs are proven not to change
-     profile bytes, so they share one cache line: first run computes,
-     every permutation afterwards hits *)
-  let prog = family_prog 0 in
-  with_service (fun svc ->
-      (* seed the cache first: inserts happen at harvest (on the control
-         thread), so in-flight duplicates within one batch all compute *)
-      Service.submit svc ~fuel ~spec:"seed" prog;
-      let seed =
-        match Service.drain svc with [ r ] -> r | _ -> Alcotest.fail "one reply"
-      in
-      Service.submit svc ~fuel ~engine:Vm.Machine.Switch ~spec:"switch" prog;
-      Service.submit svc ~fuel ~engine:Vm.Machine.Register ~spec:"register"
-        prog;
-      Service.submit svc ~fuel ~engine:Vm.Machine.Register ~ring:false
-        ~regalloc:false ~spec:"register-noring" prog;
-      Service.submit svc ~fuel ~static_prune:false ~spec:"noprune" prog;
-      let rest = Service.drain svc in
-      check Alcotest.bool "first computes" true
-        (reply_outcome seed = Service.Computed);
-      check Alcotest.int "four permutations" 4 (List.length rest);
-      List.iter
-        (fun r ->
-          check Alcotest.bool
-            (r.Service.spec ^ " hits")
-            true
-            (reply_outcome r = Service.Hit);
-          check Alcotest.string
-            (r.Service.spec ^ " bytes identical")
-            (reply_bytes seed) (reply_bytes r))
-        rest)
 
 let test_option_changes_miss () =
   let prog = family_prog 0 in
@@ -249,19 +216,36 @@ let test_feed_ordering_and_errors () =
       ignore (Service.feed svc "workload:no-such-workload");
       ignore (Service.feed svc "workload:stencil:64 bogus_opt=1");
       ignore (Service.feed svc "workload:stencil:64 engine=quantum");
+      (* the engine and instrumentation knobs are not request options *)
+      let removed = [ "engine=register"; "ring=0"; "regalloc=1"; "prune=0" ] in
+      List.iter
+        (fun o -> ignore (Service.feed svc ("workload:stencil:64 " ^ o)))
+        removed;
       let replies = Service.drain svc in
-      check Alcotest.(list int) "submission order preserved" [ 1; 2; 3; 4 ]
+      check Alcotest.(list int) "submission order preserved"
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
         (List.map (fun (r : Service.reply) -> r.Service.seq) replies);
       let ok (r : Service.reply) = Result.is_ok r.Service.result in
       check Alcotest.(list bool) "errors exactly where submitted"
-        [ true; false; false; false ]
+        [ true; false; false; false; false; false; false; false ]
         (List.map ok replies);
+      List.iter
+        (fun (r : Service.reply) ->
+          if r.Service.seq >= 4 then
+            match r.Service.result with
+            | Error msg ->
+                check Alcotest.bool
+                  (Printf.sprintf "reply %d: %s" r.Service.seq msg)
+                  true
+                  (Testutil.contains msg "unknown option")
+            | Ok _ -> Alcotest.fail "removed option accepted")
+        replies;
       (* a repeat in a later batch hits the cache (inserts happen at
          harvest, so the repeat must come after a drain) and agrees *)
       ignore (Service.feed svc "workload:stencil:64");
       match Service.drain svc with
       | [ b ] ->
-          check Alcotest.int "repeat seq" 5 b.Service.seq;
+          check Alcotest.int "repeat seq" 9 b.Service.seq;
           check Alcotest.string "bytes agree"
             (reply_bytes (List.nth replies 0))
             (reply_bytes b);
@@ -303,7 +287,6 @@ let suite =
   [
     ("cache key canonical (qcheck)", `Quick, test_key_canonical_qcheck);
     ("cache key fingerprints", `Quick, test_key_ignores_fingerprint_swap);
-    ("engine permutations hit", `Quick, test_engine_permutations_hit);
     ("option changes miss", `Quick, test_option_changes_miss);
     ("cold/warm/direct identity", `Quick, test_cold_warm_direct_identity);
     ("facts reuse and validation", `Quick, test_facts_reuse_and_validation);

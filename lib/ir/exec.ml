@@ -135,13 +135,15 @@ let run_ir ~hooked ~trace_locals ?prune ?instr_range ?range_has_target
       ?instr_range ?set_time hooks
   in
   let flush_ring () = Ring.drain rg ~now:st.instructions in
-  (* [Ring.instr_range] open-coded: this fires once per retired IR
-     segment that must appear in the stream — without flambda the
-     closure would pay a second real call just to reach a
-     compare-and-stores body. Both no-call outcomes (extend the pending
-     range, or start one when none is pending) stay in the closure.
+  (* Append one retired IR segment [lo, hi] to the ring's pending
+     range. A segment whose [lo] continues the pending range extends
+     its [hi] in place; any other segment flushes the pending range (if
+     there is one) into the buffer and becomes the new pending range.
      [t0] is the clock before the segment's first pc; the extend case
-     keeps the pending range's own start. *)
+     keeps the pending range's own start. This fires once per retired
+     segment that must appear in the stream, so it works on the ring's
+     fields directly: without flambda a helper would pay a second real
+     call just to reach a compare-and-stores body. *)
   let ev_range lo hi t0 =
     if rg.Ring.p_hi + 1 = lo then rg.Ring.p_hi <- hi
     else begin

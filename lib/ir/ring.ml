@@ -127,8 +127,6 @@ let create ?obs ?(capacity = default_capacity) ?instr_range ?set_time
       | None -> Obs.Histogram.make ());
   }
 
-let depth t = t.n + if t.p_hi = min_int then 0 else 1
-
 (* Replay everything buffered, in order, restoring the emitting clock
    before each event whose stamp differs from the clock the replay has
    already established. [t.n] is zeroed before the walk: should a hook
@@ -214,15 +212,6 @@ let drain t ~now =
   flush_pending t;
   drain_buf t;
   t.set_time now
-
-let instr_range t ~lo ~hi ~t0 =
-  if t.p_hi + 1 = lo then t.p_hi <- hi
-  else begin
-    flush_pending t;
-    t.p_lo <- lo;
-    t.p_hi <- hi;
-    t.p_t <- t0
-  end
 
 let read t ~pc ~addr ~tm =
   flush_pending t;

@@ -212,7 +212,7 @@ let compute_prune ?distance_promotion prog pts dist fid_of_pc live called_once
 
 (* ---- analysis entry ---------------------------------------------------- *)
 
-let analyze ?analysis ?(distance_promotion = true) (prog : Vm.Program.t) =
+let compute ?analysis ~distance_promotion (prog : Vm.Program.t) =
   let pts = Points_to.analyze prog in
   let analysis =
     match analysis with Some a -> a | None -> Cfa.Analysis.analyze prog
@@ -292,6 +292,29 @@ let analyze ?analysis ?(distance_promotion = true) (prog : Vm.Program.t) =
     nevents;
     must_reach;
   }
+
+(* One analysis per program value. [Ranking.rank], [Advice.advise],
+   [Sanitize.check] and [Report.render] analyze the profile's program
+   when no [~dep] is passed; a one-entry per-domain slot keyed on the
+   physical program lets them reuse the caller's analysis. The slot is
+   emptied before a fresh analysis starts, so it never keeps two alive,
+   and only the default configuration goes in it. A hit cannot be told
+   from a recomputation: the analysis is a function of the program (so
+   the shared CFA result is not part of the key), and the only mutable
+   state in a result is the query memos of {!Legality} and {!Race},
+   which cache pure functions. *)
+let memo : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let analyze ?analysis ?(distance_promotion = true) (prog : Vm.Program.t) =
+  if not distance_promotion then compute ?analysis ~distance_promotion prog
+  else
+    match Domain.DLS.get memo with
+    | Some d when d.prog == prog -> d
+    | _ ->
+        Domain.DLS.set memo None;
+        let d = compute ?analysis ~distance_promotion prog in
+        Domain.DLS.set memo (Some d);
+        d
 
 (* ---- hint-widened pruning ---------------------------------------------- *)
 

@@ -43,7 +43,15 @@ val analyze :
     [true]) lets {!prune_mask} use distance-engine [No_dep] facts to
     prune same-array accesses; [false] measures the pruning the
     region-disjointness rules achieve alone (the benchmark's coverage
-    baseline — profiling runs always leave it on). *)
+    baseline — profiling runs always leave it on).
+
+    The default-configuration result is remembered per domain for the
+    last program analyzed there: analyzing the same (physically equal)
+    program again returns the same [t], so the implicit analyses of
+    [Ranking.rank], [Report.render] and the like reuse the caller's. A
+    recompiled program is a new value and gets a fresh analysis;
+    [~distance_promotion:false] always computes afresh and leaves the
+    remembered result alone. *)
 
 val points : t -> Points_to.t
 

@@ -78,9 +78,15 @@ exception Degrade
 
 (* ---- write-once constant globals ---------------------------------------- *)
 
+(* Reference ranges are kept as [(base, len)] intervals and only the
+   few candidate cells are tested against them, so the cost follows the
+   code (stores x ranges), not the declared sizes of the arrays. *)
+let in_ranges ranges a =
+  List.exists (fun (base, len) -> base <= a && a < base + len) ranges
+
 let const_globals (prog : Vm.Program.t) =
   let stores = Hashtbl.create 16 in
-  let ref_covered = Hashtbl.create 16 in
+  let ref_ranges = ref [] in
   Array.iteri
     (fun pc instr ->
       match instr with
@@ -88,17 +94,16 @@ let const_globals (prog : Vm.Program.t) =
           Hashtbl.replace stores a
             (pc :: Option.value ~default:[] (Hashtbl.find_opt stores a))
       | Vm.Instr.MakeRefGlobal (base, len) ->
-          for a = base to base + len - 1 do
-            Hashtbl.replace ref_covered a ()
-          done
+          ref_ranges := (base, len) :: !ref_ranges
       | _ -> ())
     prog.code;
+  let ref_ranges = List.sort_uniq compare !ref_ranges in
   let const_global = Hashtbl.create 16 in
   let const_store_pc = Hashtbl.create 16 in
   Hashtbl.iter
     (fun a sites ->
       match sites with
-      | [ pc ] when pc > 0 && not (Hashtbl.mem ref_covered a) -> (
+      | [ pc ] when pc > 0 && not (in_ranges ref_ranges a) -> (
           match prog.code.(pc - 1) with
           | Vm.Instr.Const k ->
               Hashtbl.replace const_global a k;
@@ -139,16 +144,13 @@ let const_at t ~load_pc a =
    never be trusted as scalar induction variables (calls, by contrast,
    cannot write caller locals). *)
 let ref_covered_slots (prog : Vm.Program.t) (f : Vm.Program.func_info) =
-  let covered = Hashtbl.create 4 in
+  let covered = ref [] in
   for pc = f.entry to f.code_end - 1 do
     match prog.code.(pc) with
-    | Vm.Instr.MakeRefLocal (off, len) ->
-        for s = off to off + len - 1 do
-          Hashtbl.replace covered s ()
-        done
+    | Vm.Instr.MakeRefLocal (off, len) -> covered := (off, len) :: !covered
     | _ -> ()
   done;
-  covered
+  List.sort_uniq compare !covered
 
 (* The recognized update shape: [s := s + c] / [s := s - c] (either
    operand order for [+]). Returns the step. *)
@@ -309,7 +311,7 @@ let loop_ivs t (prog : Vm.Program.t) (cfg : Cfa.Cfg.t) dom depth_of
       Hashtbl.fold
         (fun slot sites acc ->
           match sites with
-          | [ store_pc ] when not (Hashtbl.mem covered slot) -> (
+          | [ store_pc ] when not (in_ranges covered slot) -> (
               match update_step prog.code ~store_pc ~slot with
               | Some step when step <> 0 ->
                   let ub = (Cfa.Cfg.block_at cfg store_pc).Cfa.Cfg.bid in

@@ -53,6 +53,13 @@ val analyze : Vm.Program.t -> t
 (** Per-function analysis; a function whose operand-stack shapes defeat
     the interpretation degrades to no-facts rather than failing. *)
 
+val const_globals : Vm.Program.t -> (int, int) Hashtbl.t * (int, int) Hashtbl.t
+(** The write-once constant global cells, as [(cell -> value,
+    cell -> store pc)]: cells with a single [StoreGlobal] site, preceded
+    by [Const k], that no [MakeRefGlobal (base, len)] range covers. The
+    ranges are tested as intervals, so the cost is
+    O(code + stores x ranges) whatever the declared array sizes. *)
+
 val func_facts : t -> int -> func_facts option
 (** Facts for the function containing a pc; [None] when out of range or
     degraded. *)

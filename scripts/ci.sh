@@ -160,6 +160,20 @@ awk '$1 == "alchemist-profile" { $2 = 4 } $1 == "race" { next } { print }' \
 cmp "$tmpdir/par2-race-stripped.prof" "$tmpdir/par2-v4.prof"
 echo "race-free writer: byte-exact version-4 output"
 
+# Offline verdicts path: one seeded run of the benchmark's verdicts
+# workload checks every op's race, legality and sanitizer counts against
+# perfbench/expected/verdicts.txt. This gates correctness only; the
+# run's timings are not compared with anything.
+python3 perfbench/run.py --workload verdicts --seed 1 --seconds 2 --trace 0 \
+  > "$tmpdir/verdicts.out"
+last=$(tail -n 1 "$tmpdir/verdicts.out")
+if ! echo "$last" | grep -q '"correct": true' \
+   || ! echo "$last" | grep -q '"failed": 0[,}]'; then
+  echo "verdicts benchmark run failed its output checks: $last" >&2
+  exit 1
+fi
+echo "verdicts run: every op's verdicts match the expected counts"
+
 # Serve smoke test: a 10-request stdin batch through the registry
 # service must save exactly the same bytes as the one-shot profile
 # command for every workload — the scheduler, cache, and facts-reuse

@@ -254,9 +254,144 @@ let test_random_profiles_sanitize () =
                (Format.asprintf "%a" Alchemist.Sanitize.pp_issue issue)
                (source s)))
 
+(* --- write-once constant globals ----------------------------------------- *)
+
+module Ind = Static.Induction
+
+(* The per-cell definition the interval test replaced, kept as the
+   differential oracle: every cell of every [MakeRefGlobal] range goes
+   into a table, and a singly-stored [Const k] cell is constant iff the
+   table misses it. *)
+let const_globals_per_cell (prog : Vm.Program.t) =
+  let stores = Hashtbl.create 16 in
+  let ref_covered = Hashtbl.create 16 in
+  Array.iteri
+    (fun pc instr ->
+      match instr with
+      | Vm.Instr.StoreGlobal a ->
+          Hashtbl.replace stores a
+            (pc :: Option.value ~default:[] (Hashtbl.find_opt stores a))
+      | Vm.Instr.MakeRefGlobal (base, len) ->
+          for a = base to base + len - 1 do
+            Hashtbl.replace ref_covered a ()
+          done
+      | _ -> ())
+    prog.code;
+  let const_global = Hashtbl.create 16 in
+  let const_store_pc = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun a sites ->
+      match sites with
+      | [ pc ] when pc > 0 && not (Hashtbl.mem ref_covered a) -> (
+          match prog.code.(pc - 1) with
+          | Vm.Instr.Const k ->
+              Hashtbl.replace const_global a k;
+              Hashtbl.replace const_store_pc a pc
+          | _ -> ())
+      | _ -> ())
+    stores;
+  (const_global, const_store_pc)
+
+let bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let const_tables f prog =
+  let values, store_pcs = f prog in
+  (bindings values, bindings store_pcs)
+
+(* Re-point the program's [MakeRefGlobal] sites: the i-th site in code
+   order takes the i-th range, the last range repeating. Only the code
+   changes, which is all the write-once test reads. *)
+let with_ref_ranges (prog : Vm.Program.t) ranges =
+  let rest = ref ranges in
+  let code =
+    Array.map
+      (function
+        | Vm.Instr.MakeRefGlobal _ -> (
+            match !rest with
+            | [ (base, len) ] -> Vm.Instr.MakeRefGlobal (base, len)
+            | (base, len) :: tl ->
+                rest := tl;
+                Vm.Instr.MakeRefGlobal (base, len)
+            | [] -> invalid_arg "with_ref_ranges: no range")
+        | i -> i)
+      prog.code
+  in
+  { prog with code }
+
+(* G sits between two arrays, so ranges may end just before it or start
+   just after it; the two array accesses give two [MakeRefGlobal]
+   sites. *)
+let pin_src =
+  {|int X[8]; int G; int A[8];
+int main() { G = 7; A[0] = 1; return A[1] + X[0] + G; }|}
+
+let test_const_global_pins () =
+  let prog = Vm.Compile.compile_source pin_src in
+  let g, _ = Option.get (Vm.Program.find_global prog "G") in
+  let store_pc =
+    let pc = ref (-1) in
+    Array.iteri
+      (fun i ins -> if ins = Vm.Instr.StoreGlobal g then pc := i)
+      prog.code;
+    !pc
+  in
+  let check name ranges expected =
+    let p = with_ref_ranges prog ranges in
+    let values, store_pcs = Ind.const_globals p in
+    Alcotest.(check (option int)) name expected (Hashtbl.find_opt values g);
+    Alcotest.(check (option int))
+      (name ^ " store pc")
+      (Option.map (fun _ -> store_pc) expected)
+      (Hashtbl.find_opt store_pcs g);
+    Alcotest.(check bool)
+      (name ^ " agrees with the per-cell oracle")
+      true
+      (const_tables Ind.const_globals p
+      = const_tables const_globals_per_cell p)
+  in
+  Alcotest.(check (option int)) "unpatched" (Some 7)
+    (Hashtbl.find_opt (fst (Ind.const_globals prog)) g);
+  check "G at a range's first cell" [ (g, 4) ] None;
+  check "G at a range's last cell" [ (g - 3, 4) ] None;
+  check "G the only cell" [ (g, 1) ] None;
+  check "range starts at G+1 (G = base-1)" [ (g + 1, 4) ] (Some 7);
+  check "range ends at G-1 (G = base+len)" [ (g - 4, 4) ] (Some 7);
+  check "empty range at G" [ (g, 0) ] (Some 7);
+  check "overlapping ranges both cover G" [ (g - 2, 3); (g - 1, 3) ] None;
+  check "overlapping ranges, only the second covers G"
+    [ (g - 4, 3); (g - 2, 3) ]
+    None;
+  check "overlapping ranges end at G-1" [ (g - 3, 3); (g - 4, 3) ] (Some 7);
+  check "overlapping ranges start at G+1" [ (g + 1, 3); (g + 2, 5) ] (Some 7);
+  check "one range nested in another around G" [ (g - 5, 10); (g - 1, 2) ]
+    None
+
+(* Random programs, as compiled and with their [MakeRefGlobal] sites
+   re-pointed at short ranges around the scalar globals (the generator
+   lays out g0..g2 at addresses 0..2), so that ranges start, end and
+   overlap on both sides of the singly-stored cells: the interval test
+   and the per-cell table must give identical tables. *)
+let test_const_globals_vs_per_cell () =
+  let ranges =
+    QCheck.(list_of_size Gen.(int_range 1 4) (pair (int_range (-3) 4) (int_range 0 4)))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"const_globals = per-cell oracle" ~count:300
+       (QCheck.pair Testgen.arbitrary_program ranges)
+       (fun (p, ranges) ->
+         let prog = Vm.Compile.compile p in
+         List.for_all
+           (fun prog ->
+             const_tables Ind.const_globals prog
+             = const_tables const_globals_per_cell prog)
+           [ prog; with_ref_ranges prog ranges ]))
+
 let suite =
   [
     ("handcrafted verdicts", `Quick, test_handcrafted);
     ("random vs brute force", `Quick, test_random_vs_brute_force);
     ("random profiles sanitize", `Quick, test_random_profiles_sanitize);
+    ("const global range pins", `Quick, test_const_global_pins);
+    ("const globals vs per-cell", `Quick, test_const_globals_vs_per_cell);
   ]

@@ -631,6 +631,87 @@ let test_sanitizer_flags_corrupt_verdict_list () =
        (fun (i : Sanitize.issue) -> Testutil.contains i.reason "no stored verdict")
        (Sanitize.check p))
 
+(* --- analysis cost and the per-domain memo ---------------------------------- *)
+
+(* A global array passed by reference: its [MakeRefGlobal] range spans
+   the whole declared length, next to a write-once constant [n]. *)
+let by_ref_src len =
+  Printf.sprintf
+    {|int n; int A[%d];
+      int sum(int a[], int k) { int s = 0; for (int i = 0; i < k; i++) s += a[i]; return s; }
+      int main() { n = 5; for (int i = 0; i < n; i++) A[i] = i; return sum(A, n); }|}
+    len
+
+(* Words allocated by one analysis, counted twice: minor-heap words, and
+   every allocated byte (large blocks go straight to the major heap,
+   which minor words would not see). Deterministic, so no timing. *)
+let allocation_of prog =
+  let w0 = Gc.minor_words () and b0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Depend.analyze prog));
+  (Gc.minor_words () -. w0, Gc.allocated_bytes () -. b0)
+
+let test_analysis_cost_independent_of_array_size () =
+  ignore (Depend.analyze (compile (by_ref_src 10)));
+  let small = compile (by_ref_src 1_000) and large = compile (by_ref_src 1_000_000) in
+  let w_small, b_small = allocation_of small in
+  let w_large, b_large = allocation_of large in
+  let within_10pct what a b =
+    if Float.abs (a -. b) > 0.1 *. Float.max a b then
+      Alcotest.failf "%s: %.0f for 1,000 cells vs %.0f for 1,000,000" what a b
+  in
+  within_10pct "minor words" w_small w_large;
+  within_10pct "allocated bytes" b_small b_large
+
+(* Every classification the analysis makes over a program's event pcs,
+   as plain data, so two analyses can be compared for equality. *)
+let verdict_table (prog : Vm.Program.t) d =
+  let events =
+    pcs_matching prog (fun _ -> true)
+    |> List.filter (Pts.is_event_pc prog)
+  in
+  let edges =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun t ->
+            List.map
+              (fun kind ->
+                ( Depend.verdict d ~kind ~head_pc:h ~tail_pc:t,
+                  Depend.distance_bound d ~head_pc:h ~tail_pc:t ))
+              [ Dep.Raw; Dep.War; Dep.Waw ])
+          events)
+      events
+  in
+  (edges, List.map (fun pc -> (Depend.prune_mask d).(pc)) events)
+
+let test_analysis_memo () =
+  let src = by_ref_src 64 in
+  let p = compile src in
+  let d = Depend.analyze p in
+  Alcotest.(check bool) "same program, same analysis" true (Depend.analyze p == d);
+  let cfa = Cfa.Analysis.analyze p in
+  Alcotest.(check bool) "a shared CFA result hits too" true
+    (Depend.analyze ~analysis:cfa p == d);
+  (* A recompiled program is a new value: fresh analysis, same answers. *)
+  let p2 = compile src in
+  let d2 = Depend.analyze p2 in
+  Alcotest.(check bool) "recompiled program, fresh analysis" false (d2 == d);
+  Alcotest.(check bool) "recompiled program, equal verdicts" true
+    (verdict_table p d = verdict_table p2 d2);
+  (* [~distance_promotion:false] neither reads nor writes the slot. *)
+  let base = Depend.analyze ~distance_promotion:false p2 in
+  Alcotest.(check bool) "promotion off computes afresh" false (base == d2);
+  ignore (Depend.analyze ~distance_promotion:false p);
+  Alcotest.(check bool) "promotion off leaves the slot alone" true
+    (Depend.analyze p2 == d2);
+  (* Another domain has its own slot. *)
+  let other = Domain.join (Domain.spawn (fun () -> Depend.analyze p2)) in
+  Alcotest.(check bool) "other domain, fresh analysis" false (other == d2);
+  Alcotest.(check bool) "other domain, equal verdicts" true
+    (verdict_table p2 other = verdict_table p2 d2);
+  Alcotest.(check bool) "this domain's slot survives" true
+    (Depend.analyze p2 == d2)
+
 let suite =
   [
     ("dataflow diamond join", `Quick, test_dataflow_diamond_join);
@@ -654,4 +735,6 @@ let suite =
     ("sanitizer flags impossible edge", `Quick, test_sanitizer_flags_impossible_edge);
     ("sanitizer flags frame misattribution", `Quick, test_sanitizer_flags_misattributed_frame_edge);
     ("sanitizer flags corrupt verdicts", `Quick, test_sanitizer_flags_corrupt_verdict_list);
+    ("analysis cost independent of array size", `Quick, test_analysis_cost_independent_of_array_size);
+    ("analysis memo", `Quick, test_analysis_memo);
   ]
